@@ -198,7 +198,7 @@ def _cmd_hypotheses(args, config):
 
 
 def _cmd_basecases(args, config):
-    report = run_basecases(filter=args.filter, config=config, jobs=args.jobs)
+    report = run_basecases(filter=args.filter, config=config)
     request = {"command": "basecases", "filter": args.filter}
     lines = [
         f"{'ok  ' if e['ok'] else 'FAIL'} {e['id']:24s} "
@@ -298,7 +298,7 @@ def _cmd_castelnuovo(args, config):
 
 
 def _request_key(args, config: PrimeFieldConfig) -> str:
-    skip = {"handler", "json", "cache", "prime", "seed", "retries", "jobs"}
+    skip = {"handler", "json", "cache", "prime", "seed", "retries"}
     payload = {k: v for k, v in vars(args).items() if k not in skip}
     payload.update(prime=config.prime, seed=config.seed, retries=config.retries)
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -316,7 +316,10 @@ def _cache_lookup(path: str, key: str):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # a damaged line, e.g. a write cut short
             if rec.get("key") == key:
                 hit = rec
     return hit
@@ -377,7 +380,6 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("basecases", help="replay the fixture registry")
     sp.add_argument("--filter", default=None)
-    sp.add_argument("--jobs", type=int, default=1)
     _add_common(sp)
     sp.set_defaults(handler=_cmd_basecases)
 

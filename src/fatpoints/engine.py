@@ -10,9 +10,13 @@ turn is at least max(0, virtual dimension).  Hence:
 * computed > expected   is only evidence of speciality (SpecialCandidate),
   reported after retrying with fresh points and an alternate prime.
 
-Rows of the matrix are partial derivatives of order < a per fat point (in
-the affine chart where the first nonvanishing coordinate of each factor is
-normalized to 1), plus one row per jet condition.
+Rows of the matrix are partial derivatives d^beta of order < a per fat point
+(in the affine chart where the first nonvanishing coordinate of each factor
+is normalized to 1), plus one row per jet condition of order kappa along a
+direction t: sum over |beta| = kappa of (t^beta / beta!) d^beta at its base
+point.  Both kinds of row are products of entries of one per-point table,
+T[k, b] = ff(e_k, b) * q_k^(e_k - b), the order-b derivative in the affine
+coordinate k of each basis monomial at the point q.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -30,6 +34,27 @@ from .spaces import Multidegree, MultiProjectiveSpace, compositions, ideal_basis
 DEFAULT_PRIME = 2147483647
 ALTERNATE_PRIME = 2147483629
 MAX_COLUMNS = 4096
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with bases 2, 3, 5, 7: exact for every
+    n < 3215031751, which covers the 31-bit primes the engine accepts."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -44,6 +69,11 @@ class PrimeFieldConfig:
             raise ValueError("primes must be >= 2")
         if self.prime >= 2**31 or self.alternate_prime >= 2**31:
             raise ValueError("primes must fit in 31 bits")
+        for name in ("prime", "alternate_prime"):
+            if not _is_prime(getattr(self, name)):
+                raise ValueError(f"{name} {getattr(self, name)} is not prime")
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
 
     def child_seed(self, attempt: int) -> int:
         return (self.seed * 1000003 + attempt) % 2**63
@@ -86,14 +116,6 @@ class Certificate:
             "seed": self.seed,
             "runs": [list(r) for r in self.runs],
         }
-
-
-def _fall_vec(e: np.ndarray, b: int) -> np.ndarray:
-    """Falling factorial e(e-1)...(e-b+1), 0 where e < b."""
-    res = np.ones_like(e)
-    for t in range(b):
-        res = res * (e - t)
-    return np.where(e >= b, res, 0)
 
 
 def _draw_factor(rng: random.Random, count: int, vanishing: frozenset[int], p: int):
@@ -196,16 +218,13 @@ def build_matrix(
     space: MultiProjectiveSpace,
     degree: Multidegree,
     scheme: FatPointScheme,
-    config: PrimeFieldConfig | None = None,
-    prime: int | None = None,
-    seed: int | None = None,
+    prime: int = DEFAULT_PRIME,
+    seed: int = 0,
 ) -> InterpolationMatrix:
-    config = config or PrimeFieldConfig()
-    p = prime if prime is not None else config.prime
-    sd = seed if seed is not None else config.seed
+    p = prime
     scheme.check(space)
-    max_deg = max(degree.degrees, default=0)
-    if p <= max_deg:
+    maxdeg = max(degree.degrees, default=0)
+    if p <= maxdeg:
         raise ValueError("prime must exceed the maximum factor degree")
 
     basis = ideal_basis(space, degree, scheme.contained)
@@ -214,79 +233,67 @@ def build_matrix(
         raise ValueError(f"{ncols} columns exceeds the {MAX_COLUMNS} column limit")
 
     C = space.total_coords()
-    E = np.array([m.flat() for m in basis], dtype=np.int64).reshape(ncols, C)
-    points, charts, directions = draw_scheme_points(space, scheme, p, sd)
+    E = np.array([m.flat() for m in basis], dtype=np.int64).reshape(ncols, C).T
+    points, charts, directions = draw_scheme_points(space, scheme, p, seed)
+
+    # basis-only tables for b = 0..max multiplicity (no jet order exceeds
+    # its base point's multiplicity): FF[k, b] = ff(e_k, b) mod p, which is
+    # 0 where e_k < b, and the clamped shifts S[k, b] = max(e_k - b, 0)
+    bmax = max((pt.multiplicity for pt in scheme.points), default=0)
+    FF = np.empty((C, bmax + 1, ncols), dtype=np.int64)
+    FF[:, 0] = 1
+    for b in range(1, bmax + 1):
+        FF[:, b] = FF[:, b - 1] * (E - (b - 1)) % p
+    S = np.maximum(E[:, None, :] - np.arange(bmax + 1)[:, None], 0)
 
     nrows = scheme.conditions(space.ambient_dim())
+    first_jet_row = nrows - len(scheme.jets)
     A = np.empty((nrows, ncols), dtype=np.int64)
     provenance: list[tuple] = []
     r = 0
-    maxdeg = max(degree.degrees, default=0)
-
     for pi, (pt, q, chart) in enumerate(zip(scheme.points, points, charts)):
-        chart_set = set(chart)
-        affine = [k for k in range(C) if k not in chart_set]
-        # power tables q_k^e for e = 0..maxdeg (0^0 = 1)
-        pows = np.empty((C, maxdeg + 1), dtype=np.int64)
-        for k in range(C):
-            pows[k, 0] = 1
-            for e in range(1, maxdeg + 1):
-                pows[k, e] = pows[k, e - 1] * q[k] % p
-        for beta in _derivative_multiindices(pt.multiplicity, len(affine)):
-            row = np.ones(ncols, dtype=np.int64)
-            for k, b in zip(affine, beta):
-                e = E[:, k]
-                if b:
-                    ff = _fall_vec(e, b) % p
-                    vals = ff * pows[k][np.maximum(e - b, 0)] % p
-                    row = row * np.where(e >= b, vals, 0) % p
-                elif q[k] != 1:
-                    row = row * pows[k][e] % p
-            A[r] = row
-            provenance.append(("point", pi, beta))
-            r += 1
+        affine = np.array([k for k in range(C) if k not in chart])
+        jets = [(ji, jet) for ji, jet in enumerate(scheme.jets) if jet.base_index == pi]
+        top = max([pt.multiplicity - 1] + [jet.order for _, jet in jets])
+        # T[i, b] = ff(e_k, b) * q_k^(e_k - b) for the i-th affine coordinate
+        # k: the order-b derivative of x_k^(e_k) at q, for every basis monomial
+        pows = np.ones((len(affine), maxdeg + 1), dtype=np.int64)
+        for e in range(1, maxdeg + 1):
+            pows[:, e] = pows[:, e - 1] * np.take(q, affine) % p
+        T = FF[affine, : top + 1] * np.take_along_axis(pows[:, None], S[affine, : top + 1], 2) % p
 
-    for ji, (jet, tdir) in enumerate(zip(scheme.jets, directions)):
-        q = points[jet.base_index]
-        chart = charts[jet.base_index]
-        chart_set = set(chart)
-        affine = [k for k in range(C) if k not in chart_set]
-        kappa = jet.order
-        inv_fact = [pow(factorial(i), -1, p) for i in range(kappa + 1)]
-        # coefficient of lambda^kappa in prod_k (q_k + lambda t_k)^{e_k},
-        # accumulated as a truncated polynomial per column
-        P = np.zeros((ncols, kappa + 1), dtype=np.int64)
-        P[:, 0] = 1
-        for ai, k in enumerate(affine):
-            t = tdir[ai] % p
-            e = E[:, k]
-            if t == 0 and q[k] == 1:
-                continue
-            coefs = []
-            tp = 1
-            for i in range(kappa + 1):
-                if t == 0 and i > 0:
-                    coefs.append(np.zeros(ncols, dtype=np.int64))
-                    continue
-                binom = _fall_vec(e, i) % p * inv_fact[i] % p
-                vals = binom * np.take(
-                    np.array([pow(q[k], j, p) for j in range(maxdeg + 1)]),
-                    np.maximum(e - i, 0),
-                ) % p * tp % p
-                coefs.append(np.where(e >= i, vals, 0))
-                tp = tp * t % p
-            newP = np.zeros_like(P)
-            for d in range(kappa + 1):
-                acc = np.zeros(ncols, dtype=np.int64)
-                for i in range(d + 1):
-                    acc = (acc + P[:, d - i] * coefs[i]) % p
-                newP[:, d] = acc
-            P = newP
-        A[r] = P[:, kappa]
-        provenance.append(("jet", ji))
-        r += 1
+        betas = list(_derivative_multiindices(pt.multiplicity, len(affine)))
+        A[r : r + len(betas)] = _derivative_rows(T, betas, p)
+        provenance += [("point", pi, beta) for beta in betas]
+        r += len(betas)
+        for ji, jet in jets:
+            A[first_jet_row + ji] = _jet_row(T, jet.order, directions[ji], p)
+    provenance += [("jet", ji) for ji in range(len(scheme.jets))]
 
-    return InterpolationMatrix(A, provenance, p, sd, points, charts, directions)
+    return InterpolationMatrix(A, provenance, p, seed, points, charts, directions)
+
+
+def _derivative_rows(T: np.ndarray, betas: list[tuple[int, ...]], p: int) -> np.ndarray:
+    """One row per multi-index beta: d^beta of every basis monomial at the
+    point, prod_i T[i, beta_i] mod p."""
+    B = np.array(betas, dtype=np.intp)
+    rows = T[0, B[:, 0]]
+    for i in range(1, len(T)):
+        rows = rows * T[i, B[:, i]] % p
+    return rows
+
+
+def _jet_row(T: np.ndarray, kappa: int, direction: tuple[int, ...], p: int) -> np.ndarray:
+    """Order-kappa Taylor term along t, sum over |beta| = kappa of
+    (t^beta / beta!) d^beta: the coefficient of lambda^kappa in
+    prod_k (q_k + lambda t_k)^(e_k)."""
+    betas = list(compositions(kappa, len(T)))
+    inv_fact = [pow(factorial(b), -1, p) for b in range(kappa + 1)]
+    coef = [
+        prod(pow(t, b, p) * inv_fact[b] for t, b in zip(direction, beta)) % p
+        for beta in betas
+    ]
+    return (np.array(coef)[:, None] * _derivative_rows(T, betas, p) % p).sum(axis=0) % p
 
 
 def rank_fp(matrix: np.ndarray, p: int) -> int:
@@ -338,7 +345,7 @@ def dimension(
     runs: list[tuple[int, int, int]] = []
     best = None
     for p, sd in attempts:
-        mat = build_matrix(space, degree, scheme, config, prime=p, seed=sd)
+        mat = build_matrix(space, degree, scheme, prime=p, seed=sd)
         rk = rank_fp(mat.array, p)
         dim = mat.cols - rk
         runs.append((p, sd, dim))

@@ -14,7 +14,6 @@ defective Veronese embeddings.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -316,30 +315,20 @@ def _case_matches(case: BaseCase, pattern: str | None) -> bool:
 def run_basecases(
     filter: str | None = None,
     config: PrimeFieldConfig | None = None,
-    jobs: int = 1,
     cases: list[BaseCase] | None = None,
 ) -> dict:
     """Replay the fixture registry through the engine.  The report is
     deterministic for a fixed config (no timestamps or timings) and is
-    ordered by fixture id regardless of completion order."""
+    ordered by fixture id."""
     if cases is None:
         cases = load_bundled_registry()
     selected = [c for c in cases if _case_matches(c, filter)]
     selected.sort(key=lambda c: c.case_id)
 
-    def run_one(case: BaseCase):
-        cert = dimension(case.space, case.degree, case.scheme, config)
-        return case, cert
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, selected))
-    else:
-        results = [run_one(c) for c in selected]
-
     entries = []
     failed = []
-    for case, cert in results:
+    for case in selected:
+        cert = dimension(case.space, case.degree, case.scheme, config)
         ok = status_matches(case.expected, cert)
         if not ok:
             failed.append(case.case_id)

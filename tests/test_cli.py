@@ -138,3 +138,23 @@ def test_on_divisor_overflow_is_usage_error(capsys):
         "--on-divisor", "0:0:5",
     )
     assert code == 64
+
+
+def test_damaged_cache_line_is_skipped(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = ("dim", "--space", "1x1", "--deg", "3,3", "--scheme", "3,2^3",
+            "--cache", str(cache))
+    code1, out1, _ = run_cli(capsys, *args)
+    with open(cache, "a") as fh:
+        fh.write('{"key": "abc", "resu')
+    code2, out2, _ = run_cli(capsys, *args)
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+@pytest.mark.parametrize("flag,value", [("--prime", "1000"), ("--retries", "-3")])
+def test_bad_field_settings_exit64(capsys, flag, value):
+    code, _, err = run_cli(capsys, "dim", "--space", "1x1", "--deg", "3,3",
+                           "--scheme", "3,2^3", flag, value)
+    assert code == 64
+    assert value in err

@@ -111,16 +111,51 @@ def test_prime_field_rank_matches_exact_oracle():
     assert checked == 100
 
 
-def test_jet_row_matches_exact_oracle():
+def _jet_instances():
     sp = MultiProjectiveSpace((1, 1))
-    scheme = FatPointScheme(
+    yield sp, Multidegree((3, 3)), FatPointScheme(
         [FatPoint(3, PointSpec(None, ((1, 2), (1, 3))))],
         jets=[JetCondition(0, 3, (2, 5)), JetCondition(0, 2, (1, 1))],
     )
-    mat = build_matrix(sp, Multidegree((3, 3)), scheme, prime=DEFAULT_PRIME, seed=0)
-    assert rank_fp(mat.array, DEFAULT_PRIME) == exact_rank_oracle(
-        sp, Multidegree((3, 3)), scheme
-    )
+    # seeded pinned points; jet orders 1..base multiplicity; directions
+    # with zero (and negative) components
+    rng = random.Random(20261017)
+    for _ in range(60):
+        space, degree, scheme = _random_pinned_instance(rng)
+        for _ in range(rng.randint(1, 3)):
+            base = rng.randrange(len(scheme.points))
+            order = rng.randint(1, scheme.points[base].multiplicity)
+            direction = tuple(
+                rng.choice((0, rng.randint(-20, 20)))
+                for _ in range(space.ambient_dim())
+            )
+            scheme.jets.append(JetCondition(base, order, direction))
+        yield space, degree, scheme
+    # Taylor's formula: modulo the derivatives of order < D = sum(degrees)
+    # at q, the value at q + t equals the order-D jet along t, so only exact
+    # jet coefficients keep the rank down
+    for shape, degs in [((2,), (2,)), ((2,), (3,)), ((1, 1), (2, 1)), ((1, 2), (1, 2))]:
+        q = [[1] + [rng.randint(-9, 9) for _ in range(n)] for n in shape]
+        t = [rng.choice((0, rng.randint(-9, 9))) for _ in range(sum(shape))]
+        shifted, off = [], 0
+        for n, vec in zip(shape, q):
+            shifted.append(tuple([1] + [vec[i + 1] + t[off + i] for i in range(n)]))
+            off += n
+        yield MultiProjectiveSpace(shape), Multidegree(degs), FatPointScheme(
+            [
+                FatPoint(sum(degs), PointSpec(None, tuple(map(tuple, q)))),
+                FatPoint(1, PointSpec(None, tuple(shifted))),
+            ],
+            jets=[JetCondition(0, sum(degs), tuple(t))],
+        )
+
+
+def test_jet_row_matches_exact_oracle():
+    for space, degree, scheme in _jet_instances():
+        mat = build_matrix(space, degree, scheme, prime=DEFAULT_PRIME, seed=0)
+        assert rank_fp(mat.array, DEFAULT_PRIME) == exact_rank_oracle(
+            space, degree, scheme
+        ), (space, degree, scheme.dumps())
 
 
 def test_computed_dim_at_least_vdim():
