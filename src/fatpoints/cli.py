@@ -213,16 +213,17 @@ def _cmd_basecases(args, config):
     return request, report, "\n".join(lines), EXIT_OK if report["passed"] else EXIT_FAIL
 
 
-def _parse_range(text: str) -> int:
-    """'3..60' -> 60 (upper verification bound); plain integers pass through."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        return int(hi)
-    return int(text)
+def _parse_bound(text: str) -> int:
+    """'--n HI' -> HI.  Each lemma is checked on its own hypothesis range up
+    to HI, so there is no lower bound to give: 'LO..HI' is a usage error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--n takes one upper bound HI, got {text!r}") from None
 
 
 def _cmd_verify_arith(args, config):
-    bound = _parse_range(args.n) if args.n else args.bound
+    bound = _parse_bound(args.n) if args.n is not None else args.bound
     if args.lemma:
         ids = [args.lemma]
     else:
@@ -326,8 +327,15 @@ def _cache_lookup(path: str, key: str):
 
 
 def _cache_append(path: str, rec: dict):
-    with open(path, "a") as fh:
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    """Append one record as a single write(2) on an O_APPEND descriptor, so
+    the lines of concurrent runs cannot interleave."""
+    data = (json.dumps(rec, sort_keys=True) + "\n").encode()
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        if os.write(fd, data) != len(data):
+            raise OSError(f"short write to the cache file {path}")
+    finally:
+        os.close(fd)
 
 
 # --- argument parsing ------------------------------------------------------
@@ -386,7 +394,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("verify-arith", help="check the arithmetic lemmas")
     sp.add_argument("--lemma", default=None)
     sp.add_argument("--bound", type=int, default=40)
-    sp.add_argument("--n", default=None, metavar="LO..HI")
+    sp.add_argument("--n", default=None, metavar="HI", help="same as --bound")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_verify_arith)
 

@@ -17,6 +17,15 @@ direction t: sum over |beta| = kappa of (t^beta / beta!) d^beta at its base
 point.  Both kinds of row are products of entries of one per-point table,
 T[k, b] = ff(e_k, b) * q_k^(e_k - b), the order-b derivative in the affine
 coordinate k of each basis monomial at the point q.
+
+The rank over F_p (rank_fp) is exact for every prime p < 2^31.  Matrices of
+more than four panels of 32 columns are eliminated blockwise: each panel is
+reduced by a row-operation loop in int64, and the rows below it are updated
+by one float64 (BLAS) matrix product per chunk of rows.  The right factor of
+that product is split into 16-bit limbs, so with at most 32 inner terms every
+entry stays below 2^53 and the product is exact.  Updated entries are
+reduced mod p only when a panel reads them, and in full every eight panels.
+Narrower matrices use the loop alone.
 """
 from __future__ import annotations
 
@@ -296,14 +305,65 @@ def _jet_row(T: np.ndarray, kappa: int, direction: tuple[int, ...], p: int) -> n
     return (np.array(coef)[:, None] * _derivative_rows(T, betas, p) % p).sum(axis=0) % p
 
 
-def rank_fp(matrix: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p by dense Gaussian elimination.
+# Panel width, trailing-update row chunk, the width up to which the
+# unblocked loop alone is used (there the panel copies cost more than the
+# matrix products save), and the panels between full reductions of the
+# trailing block.  _PANEL bounds the inner dimension of every product in
+# rank_fp, which keeps it exact in float64 (see _mulmod).
+_PANEL = 32
+_CHUNK = 256
+_NARROW = 4 * _PANEL
+_DELAY = 8
 
-    Entries are reduced mod p; int64 is safe for p < 2^31 since all
-    intermediate products stay below 2^62.
+
+def rank_fp(matrix: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over F_p, for a prime 2 <= p < 2^31.
+
+    Entries are reduced mod p; the input is not modified.  Matrices wider
+    than _NARROW columns are eliminated in panels of _PANEL columns: the
+    panel is reduced by the unblocked loop, its pivot rows are solved so
+    their pivot columns form the identity (U12 is their trailing part), and
+    the other rows, whose entries in the pivot columns are X, get the
+    trailing update A22 += X (-U12), one float64 matrix product on 16-bit
+    limbs per chunk of _CHUNK rows (see _mulmod).  A22 is reduced mod p
+    only where it is read next, and in full every _DELAY panels.  The last
+    _NARROW columns, and narrow matrices, use the unblocked loop alone.
     """
-    A = np.array(matrix, dtype=np.int64) % p
+    if not 2 <= p < 2**31:
+        raise ValueError(f"rank_fp needs 2 <= p < 2^31, got {p}")
+    A = np.asarray(matrix, dtype=np.int64) % p
     m, n = A.shape
+    r = c = 0
+    while r < m and n - c > _NARROW:
+        c1 = c + _PANEL
+        # trailing updates are added unreduced, each below 2^53: reducing
+        # every _DELAY panels keeps the entries below 2^56, exact in int64
+        if c // _PANEL % _DELAY == _DELAY - 1:
+            A[r:, c1:] %= p
+        A[r:, c:c1] %= p
+        pivots, swaps = _echelon(A[r:, c:c1].copy(), p)
+        for i, j in swaps:
+            A[[r + i, r + j], c:] = A[[r + j, r + i], c:]
+        k = len(pivots)
+        if k:
+            J = c + np.array(pivots)
+            neg_inv = -_inverse(A[r : r + k, J], p) % p
+            U = _limbs(_mulmod(neg_inv, _limbs(A[r : r + k, c1:] % p), p) % p)
+            for s in range(r + k, m, _CHUNK):
+                A[s : s + _CHUNK, c1:] += _mulmod(A[s : s + _CHUNK, J], U, p)
+        r, c = r + k, c1
+    if c:
+        A = A[r:, c:] % p
+    return r + len(_echelon(A, p)[0])
+
+
+def _echelon(A: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Reduce A (int64, entries in [0, p)) in place to row echelon form over
+    F_p, one vectorised row operation per pivot; int64 is exact for p < 2^31
+    since every product stays below 2^62.  Returns the pivot columns and
+    the row swaps made, in order."""
+    m, n = A.shape
+    pivots, swaps = [], []
     r = 0
     for c in range(n):
         if r == m:
@@ -314,13 +374,48 @@ def rank_fp(matrix: np.ndarray, p: int) -> int:
         piv = r + int(nz[0])
         if piv != r:
             A[[r, piv], c:] = A[[piv, r], c:]
+            swaps.append((r, piv))
         inv = pow(int(A[r, c]), -1, p)
         A[r, c:] = A[r, c:] * inv % p
         tail = r + 1 + np.nonzero(A[r + 1:, c])[0]
         if tail.size:
             A[tail, c:] = (A[tail, c:] - A[tail, c, None] * A[r, c:][None, :]) % p
+        pivots.append(c)
         r += 1
-    return r
+    return pivots, swaps
+
+
+def _inverse(M: np.ndarray, p: int) -> np.ndarray:
+    """M^-1 over F_p by Gauss-Jordan without row exchanges, for an int64
+    M with entries in [0, p) whose leading principal minors are all nonzero
+    mod p.  The pivot rows of a panel, in pivot order and restricted to its
+    pivot columns, are such a matrix: the unblocked loop factors it as an
+    invertible lower triangular matrix times a unit upper triangular one."""
+    k = len(M)
+    G = np.concatenate([M, np.eye(k, dtype=np.int64)], axis=1)
+    for i in range(k):
+        G[i] = G[i] * pow(int(G[i, i]), -1, p) % p
+        f = G[:, i].copy()
+        f[i] = 0
+        G = (G - f[:, None] * G[i]) % p
+    return G[:, k:]
+
+
+def _limbs(U: np.ndarray) -> np.ndarray:
+    """The 16-bit limbs of U (int64 in [0, 2^31)) for _mulmod: hi = U >> 16
+    stacked above lo = U & 0xFFFF, in float64."""
+    return np.concatenate([U >> 16, U & 0xFFFF]).astype(np.float64)
+
+
+def _mulmod(X: np.ndarray, L: np.ndarray, p: int) -> np.ndarray:
+    """An int64 matrix congruent to X @ U mod p, for X in [0, p) and
+    L = _limbs(U): [X * 2^16 mod p | X] @ [hi; lo] in float64 (BLAS).
+
+    With p < 2^31 and at most _PANEL = 2^5 columns in X, every entry is
+    below 2^5 * (2^31 * 2^15 + 2^31 * 2^16) < 2^53, so float64 computes it
+    exactly."""
+    S = np.concatenate([X * 65536 % p, X], axis=1).astype(np.float64)
+    return (S @ L).astype(np.int64)
 
 
 def dimension(

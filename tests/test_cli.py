@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fatpoints import cli
 from fatpoints.cli import main
 
 
@@ -102,9 +103,38 @@ def test_env_overrides(monkeypatch, capsys):
 
 def test_verify_arith_cli(capsys):
     code, out, _ = run_cli(capsys, "verify-arith", "--lemma", "b-mod3",
-                           "--n", "3..60")
+                           "--n", "60")
     assert code == 0
     assert "0 counterexamples" in out
+    assert "up to 60" in out
+
+
+def test_verify_arith_range_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify-arith", "--lemma", "b-mod3",
+                             "--n", "50..60")
+    assert code == 64
+    assert "'50..60'" in err and not out
+
+
+def test_cache_record_is_one_write(tmp_path, monkeypatch):
+    # a record above the 8 KiB buffer of a text-mode file, which that
+    # file would hand to the kernel in more than one write(2)
+    writes = []
+    real_write = cli.os.write
+
+    def write(fd, data):
+        writes.append(len(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(cli.os, "write", write)
+    cache = tmp_path / "cache.jsonl"
+    rec = {"key": "big", "result": {"blob": "x" * 20000}, "text": "t", "exit": 0}
+    cli._cache_append(str(cache), {"key": "small", "exit": 1})
+    cli._cache_append(str(cache), rec)
+    assert writes[1] == len(json.dumps(rec, sort_keys=True)) + 1 > 8192
+    assert len(writes) == 2
+    assert cli._cache_lookup(str(cache), "big") == rec
+    assert cache.read_text().count("\n") == 2
 
 
 def test_basecases_filter_cli(capsys):

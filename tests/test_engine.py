@@ -9,6 +9,8 @@ from fatpoints.engine import (
     Certificate,
     DimensionVerdict,
     PrimeFieldConfig,
+    _NARROW,
+    _PANEL,
     build_matrix,
     dimension,
     exact_dimension,
@@ -32,7 +34,83 @@ def test_rank_fp_small():
     assert rank_fp(A, p) == 2
     assert rank_fp(np.zeros((3, 4), dtype=np.int64), p) == 0
     assert rank_fp(np.eye(5, dtype=np.int64), p) == 5
+    assert rank_fp(np.zeros((0, 4), dtype=np.int64), p) == 0
+    assert rank_fp(np.zeros((0, 600), dtype=np.int64), p) == 0
+    assert rank_fp(np.zeros((3, 0), dtype=np.int64), p) == 0
 
+
+@pytest.mark.parametrize("p", [0, 1, -7, 2**31, 2**31 + 11])
+def test_rank_fp_rejects_primes_out_of_range(p):
+    with pytest.raises(ValueError, match="2 <= p < 2\\^31"):
+        rank_fp(np.eye(3, dtype=np.int64), p)
+
+
+def _mulmod_int64(L, R, p):
+    """L @ R mod p in int64: with entries below 2^31, each 16-bit limb of R
+    gives products below 2^47, so sums of up to 2^15 terms stay exact."""
+    hi = L @ (R >> 16) % p
+    return (hi * 65536 + L @ (R & 0xFFFF)) % p
+
+
+def _rank_k_matrix(rng, m, n, k, p):
+    """M = L R mod p of rank exactly k.  L (m x k) has I_k in k random rows
+    and R (k x n) has I_k in k random columns; other entries are drawn from
+    [0, p).  R's first row is set to p - 1 (its identity columns then have
+    determinant p - 1), and two more rows of L are e_0, so M has rows of p - 1
+    (the worst case for the kernel's limbs).  Two other rows of L and two
+    other columns of R are zero."""
+    L = rng.integers(0, p, (m, k))
+    R = rng.integers(0, p, (k, n))
+    rows, cols = rng.permutation(m), rng.permutation(n)
+    L[rows[:k]] = np.eye(k, dtype=np.int64)
+    R[:, cols[:k]] = np.eye(k, dtype=np.int64)
+    if k:
+        R[0] = p - 1
+        L[rows[k : k + 2]] = np.eye(k, dtype=np.int64)[0]
+    L[rows[k + 2 : k + 4]] = 0
+    R[:, cols[k : k + 2]] = 0
+    return _mulmod_int64(L, R, p)
+
+
+_KERNEL_WIDTHS = [
+    _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 1,
+    _NARROW - 1, _NARROW, _NARROW + 1, _NARROW + _PANEL + 1, _NARROW + 2 * _PANEL + 1,
+]
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, ALTERNATE_PRIME, 101, 2])
+def test_rank_fp_known_rank(p):
+    rng = np.random.default_rng(p % 1000)
+    cases = []
+    for n in _KERNEL_WIDTHS:
+        for m in (n // 2, n, n + 9):
+            top = min(m, n)
+            cases += [(m, n, k) for k in sorted({top, max(top - 5, 0), top // 3})]
+    # about 600 columns: one shape and rank per prime bounds the test's time
+    cases.append(
+        {DEFAULT_PRIME: (300, 600, 295), ALTERNATE_PRIME: (600, 600, 595),
+         101: (640, 600, 200), 2: (600, 600, 600)}[p]
+    )
+    for m, n, k in cases:
+        M = _rank_k_matrix(rng, m, n, k, p)
+        before = M.copy()
+        assert rank_fp(M, p) == k, (p, m, n, k)
+        assert np.array_equal(M, before)
+
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, ALTERNATE_PRIME])
+def test_rank_fp_exact_at_the_limb_bound(p):
+    # the first _PANEL rows, [I | 2], are the pivot rows of the first panel;
+    # negated they give U = p - 2 in every trailing column.  Every other row
+    # is -2 times their sum (p - 2 on the panel), so each trailing-update
+    # entry is a sum of odd products near the bound the limbs allow, and must
+    # come out exactly 0 mod p: a rounded sum leaves rank above _PANEL
+    b, n = _PANEL, _NARROW + 2 * _PANEL + 1
+    top = np.hstack([np.eye(b, dtype=np.int64), np.full((b, n - b), 2)])
+    rest = np.full((n - b, n), p - 2, dtype=np.int64)
+    rest[:, b:] = -4 * b % p
+    assert rank_fp(np.vstack([top, rest]), p) == b
 
 def test_matrix_shape_and_provenance():
     sp = MultiProjectiveSpace((1, 1))
