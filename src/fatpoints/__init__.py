@@ -1,6 +1,9 @@
 """Dimensions of linear systems with fat base points on products of
 projective spaces, and (non-)defectivity of their secant varieties."""
 
+# set before the submodules load, so any of them can import it
+__version__ = "0.1.0"
+
 from .arith import lemma_ids, verify_all, verify_lemma
 from .degeneration import (
     DivisorSpec,
@@ -20,8 +23,10 @@ from .engine import (
     PrimeFieldConfig,
     build_matrix,
     dimension,
+    dimensions,
     exact_dimension,
     rank_fp,
+    rank_profile,
 )
 from .replication import (
     BaseCase,
@@ -58,5 +63,3 @@ from .spaces import (
     ideal_basis,
     monomial_basis,
 )
-
-__version__ = "0.1.0"

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from . import arith
+from . import __version__, arith
 from .degeneration import (
     DivisorSpec,
     castelnuovo_bound_check,
@@ -301,7 +301,11 @@ def _cmd_castelnuovo(args, config):
 def _request_key(args, config: PrimeFieldConfig) -> str:
     skip = {"handler", "json", "cache", "prime", "seed", "retries"}
     payload = {k: v for k, v in vars(args).items() if k not in skip}
-    payload.update(prime=config.prime, seed=config.seed, retries=config.retries)
+    # the version keeps records of another engine version from being replayed
+    payload.update(
+        prime=config.prime, seed=config.seed, retries=config.retries,
+        version=__version__,
+    )
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 

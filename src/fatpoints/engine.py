@@ -18,18 +18,28 @@ point.  Both kinds of row are products of entries of one per-point table,
 T[k, b] = ff(e_k, b) * q_k^(e_k - b), the order-b derivative in the affine
 coordinate k of each basis monomial at the point q.
 
-The rank over F_p (rank_fp) is exact for every prime p < 2^31.  Matrices of
-more than four panels of 32 columns are eliminated blockwise: each panel is
-reduced by a row-operation loop in int64, and the rows below it are updated
-by one float64 (BLAS) matrix product per chunk of rows.  The right factor of
-that product is split into 16-bit limbs, so with at most 32 inner terms every
-entry stays below 2^53 and the product is exact.  Updated entries are
-reduced mod p only when a panel reads them, and in full every eight panels.
-Narrower matrices use the loop alone.
+The elimination (rank_profile) returns the column rank profile over F_p,
+the pivot columns in order; rank_fp is its length.  It is exact for every
+prime p < 2^31.  Matrices of more than four panels of 32 columns are
+eliminated blockwise: each panel is reduced by a row-operation loop in
+int64, and the rows below it are updated by one float64 (BLAS) matrix
+product per chunk of rows.  The right factor of that product is split into
+16-bit limbs, so with at most 32 inner terms every entry stays below 2^53
+and the product is exact.  Updated entries are reduced mod p only when a
+panel reads them, and in full every eight panels.  Narrower matrices use
+the loop alone.
+
+Points are drawn in order from one seeded stream, so the rows of the first
+k points of a scheme are a row prefix of its matrix.  The row rank profile
+(the column rank profile of the transpose) gives the rank of every such
+prefix from one elimination: dimensions() certifies several point prefixes
+of one scheme with one matrix per attempt, and is_defective asks it for
+r_low and r_high at once.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -317,22 +327,34 @@ _DELAY = 8
 
 
 def rank_fp(matrix: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p, for a prime 2 <= p < 2^31.
+    """Rank of an integer matrix over F_p, for a prime 2 <= p < 2^31."""
+    return len(rank_profile(matrix, p))
 
-    Entries are reduced mod p; the input is not modified.  Matrices wider
-    than _NARROW columns are eliminated in panels of _PANEL columns: the
-    panel is reduced by the unblocked loop, its pivot rows are solved so
-    their pivot columns form the identity (U12 is their trailing part), and
-    the other rows, whose entries in the pivot columns are X, get the
-    trailing update A22 += X (-U12), one float64 matrix product on 16-bit
-    limbs per chunk of _CHUNK rows (see _mulmod).  A22 is reduced mod p
-    only where it is read next, and in full every _DELAY panels.  The last
-    _NARROW columns, and narrow matrices, use the unblocked loop alone.
+
+def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
+    """Column rank profile of an integer matrix over F_p, for a prime
+    2 <= p < 2^31: the pivot columns of its row echelon form, in increasing
+    order, i.e. the columns that are not combinations of the columns before
+    them.  Its length is the rank.  The row rank profile of A is
+    rank_profile(A.T, p), and the rank of the first k rows of A is the
+    number of its entries below k.
+
+    Entries are reduced mod p; the input, of any memory layout, is not
+    modified.  Matrices wider than _NARROW columns are eliminated in panels
+    of _PANEL columns: the panel is reduced by the unblocked loop, its pivot
+    rows are solved so their pivot columns form the identity (U12 is their
+    trailing part), and the other rows, whose entries in the pivot columns
+    are X, get the trailing update A22 += X (-U12), one float64 matrix
+    product on 16-bit limbs per chunk of _CHUNK rows (see _mulmod).  A22 is
+    reduced mod p only where it is read next, and in full every _DELAY
+    panels.  The last _NARROW columns, and narrow matrices, use the
+    unblocked loop alone.
     """
     if not 2 <= p < 2**31:
-        raise ValueError(f"rank_fp needs 2 <= p < 2^31, got {p}")
-    A = np.asarray(matrix, dtype=np.int64) % p
+        raise ValueError(f"rank_profile needs 2 <= p < 2^31, got {p}")
+    A = np.mod(np.asarray(matrix, dtype=np.int64), p, order="C")
     m, n = A.shape
+    profile: list[int] = []
     r = c = 0
     while r < m and n - c > _NARROW:
         c1 = c + _PANEL
@@ -344,17 +366,18 @@ def rank_fp(matrix: np.ndarray, p: int) -> int:
         pivots, swaps = _echelon(A[r:, c:c1].copy(), p)
         for i, j in swaps:
             A[[r + i, r + j], c:] = A[[r + j, r + i], c:]
-        k = len(pivots)
+        J = [c + j for j in pivots]
+        k = len(J)
         if k:
-            J = c + np.array(pivots)
             neg_inv = -_inverse(A[r : r + k, J], p) % p
             U = _limbs(_mulmod(neg_inv, _limbs(A[r : r + k, c1:] % p), p) % p)
             for s in range(r + k, m, _CHUNK):
                 A[s : s + _CHUNK, c1:] += _mulmod(A[s : s + _CHUNK, J], U, p)
+        profile += J
         r, c = r + k, c1
     if c:
         A = A[r:, c:] % p
-    return r + len(_echelon(A, p)[0])
+    return profile + [c + j for j in _echelon(A, p)[0]]
 
 
 def _echelon(A: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -427,9 +450,42 @@ def dimension(
     """Compute the dimension of the linear system and certify it when the
     result matches the expected dimension; otherwise retry with fresh
     seeds and the alternate prime before reporting a special candidate."""
+    return dimensions(space, degree, scheme, [len(scheme.points)], config)[0]
+
+
+def dimensions(
+    space: MultiProjectiveSpace,
+    degree: Multidegree,
+    scheme: FatPointScheme,
+    counts: list[int],
+    config: PrimeFieldConfig | None = None,
+) -> list[Certificate]:
+    """One certificate, as dimension() gives it, for each subscheme made of
+    the first k points of the scheme, k in counts.
+
+    Points are drawn in order, each from its own draws of the seeded
+    stream, so the rows of the first k points are a row prefix of the whole
+    scheme's matrix at the same (prime, seed).  Each attempt builds that
+    matrix once and reads the rank of every prefix off its row rank
+    profile; each prefix keeps its own runs and stops at its own first
+    certifying attempt.  Jet rows come last, so a scheme with jets has no
+    proper prefixes."""
     config = config or PrimeFieldConfig()
-    vdim = virtual_dim(space, degree, scheme)
-    exp = max(0, vdim)
+    npts = len(scheme.points)
+    subs = []
+    for k in counts:
+        if not 0 <= k <= npts:
+            raise ValueError(f"point count {k} is outside 0..{npts}")
+        if k < npts and scheme.jets:
+            raise ValueError("a scheme with jets has no proper point prefixes")
+        subs.append(
+            scheme if k == npts
+            else FatPointScheme(scheme.points[:k], contained=scheme.contained)
+        )
+    N = space.ambient_dim()
+    vdims = [virtual_dim(space, degree, sub) for sub in subs]
+    exps = [max(0, vdim) for vdim in vdims]
+    rows = [sub.conditions(N) for sub in subs]
 
     attempts = [(config.prime, config.seed)]
     attempts += [
@@ -437,27 +493,33 @@ def dimension(
     ]
     attempts.append((config.alternate_prime, config.seed))
 
-    runs: list[tuple[int, int, int]] = []
-    best = None
+    runs: list[list[tuple[int, int, int]]] = [[] for _ in subs]
+    cols = 0
     for p, sd in attempts:
-        mat = build_matrix(space, degree, scheme, prime=p, seed=sd)
-        rk = rank_fp(mat.array, p)
-        dim = mat.cols - rk
-        runs.append((p, sd, dim))
-        if best is None or dim < best[0]:
-            best = (dim, rk, mat.rows, mat.cols, p, sd)
-        if dim == exp:
+        # a prefix stops at its first attempt that gives the expected dim
+        todo = [i for i, rs in enumerate(runs) if not rs or rs[-1][2] != exps[i]]
+        if not todo:
             break
+        mat = build_matrix(space, degree, scheme, prime=p, seed=sd)
+        profile = rank_profile(mat.array.T, p)
+        cols = mat.cols
+        for i in todo:
+            runs[i].append((p, sd, cols - bisect_left(profile, rows[i])))
 
-    dim, rk, rows, cols, p, sd = best
-    if dim == exp:
-        if dim == 0 and vdim <= 0:
-            status = DimensionVerdict.ZERO
+    certs = []
+    for vdim, exp, nrows, rs in zip(vdims, exps, rows, runs):
+        p, sd, dim = min(rs, key=lambda run: run[2])
+        if dim == exp:
+            if dim == 0 and vdim <= 0:
+                status = DimensionVerdict.ZERO
+            else:
+                status = DimensionVerdict.REGULAR
         else:
-            status = DimensionVerdict.REGULAR
-    else:
-        status = DimensionVerdict.SPECIAL_CANDIDATE
-    return Certificate(status, dim, vdim, exp, rk, rows, cols, p, sd, runs)
+            status = DimensionVerdict.SPECIAL_CANDIDATE
+        certs.append(
+            Certificate(status, dim, vdim, exp, cols - dim, nrows, cols, p, sd, rs)
+        )
+    return certs
 
 
 # --- exact-rational oracle ---------------------------------------------

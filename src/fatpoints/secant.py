@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Certificate, DimensionVerdict, PrimeFieldConfig, dimension
+from .engine import (
+    Certificate,
+    DimensionVerdict,
+    PrimeFieldConfig,
+    dimension,
+    dimensions,
+)
 from .schemes import FatPointScheme, conditions_of_fat_point, make_scheme
 from .spaces import Multidegree, MultiProjectiveSpace, basis_size
 
@@ -80,6 +86,18 @@ def critical_r(space: MultiProjectiveSpace, degree: Multidegree) -> tuple[int, i
     return r_low, r_low + 1
 
 
+def collision_r_values(
+    space: MultiProjectiveSpace, degree: Multidegree
+) -> tuple[int, ...]:
+    """The numbers of 2-fat points theorem_hypotheses checks: the floor and
+    the ceiling of L / (N + 1).  The floor is r_low of critical_r; the
+    ceiling is r_high, or r_low again when N + 1 divides L."""
+    r_low, r_high = critical_r(space, degree)
+    if basis_size(space, degree) % (space.ambient_dim() + 1):
+        return r_low, r_high
+    return (r_low,)
+
+
 @dataclass
 class DefectivityReport:
     space: MultiProjectiveSpace
@@ -124,8 +142,10 @@ def is_defective(
     config: PrimeFieldConfig | None = None,
 ) -> DefectivityReport:
     r_low, r_high = critical_r(space, degree)
-    low = dimension(space, degree, make_scheme([(2, r_low)]), config)
-    high = dimension(space, degree, make_scheme([(2, r_high)]), config)
+    # the r_low points are the first r_low of the r_high draw: one matrix
+    low, high = dimensions(
+        space, degree, make_scheme([(2, r_high)]), [r_low, r_high], config
+    )
     return DefectivityReport(space, degree, r_low, r_high, low, high)
 
 
@@ -178,9 +198,7 @@ def theorem_hypotheses(
 ) -> HypothesisReport:
     L = basis_size(space, degree)
     N = space.ambient_dim()
-    r_lo = L // (N + 1)
-    r_hi = -(-L // (N + 1))
-    r_values = (r_lo,) if r_lo == r_hi else (r_lo, r_hi)
+    r_values = collision_r_values(space, degree)
 
     big_enough = L >= (N + 1) ** 2
     cert3 = dimension(space, degree, make_scheme([(3, 1)]), config)

@@ -94,6 +94,19 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert len(cache.read_text().splitlines()) == 2
 
 
+def test_cache_record_of_another_version_is_a_miss(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = ("dim", "--space", "1x1", "--deg", "3,3", "--scheme", "3,2^3",
+            "--json", "--cache", str(cache))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "__version__", "0.0.1")
+        assert run_cli(capsys, *args)[0] == 0
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and "cached" not in json.loads(out)
+    assert len(cache.read_text().splitlines()) == 2
+    assert json.loads(run_cli(capsys, *args)[1])["cached"] is True
+
+
 def test_env_overrides(monkeypatch, capsys):
     monkeypatch.setenv("FATPOINTS_SEED", "99")
     _, out, _ = run_cli(capsys, "dim", "--space", "1x1", "--deg", "3,3",

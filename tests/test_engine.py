@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from fatpoints.engine import (
     _PANEL,
     build_matrix,
     dimension,
+    dimensions,
     exact_dimension,
     exact_rank_oracle,
     rank_fp,
+    rank_profile,
 )
 from fatpoints.schemes import (
     FatPoint,
@@ -111,6 +114,82 @@ def test_rank_fp_exact_at_the_limb_bound(p):
     rest = np.full((n - b, n), p - 2, dtype=np.int64)
     rest[:, b:] = -4 * b % p
     assert rank_fp(np.vstack([top, rest]), p) == b
+
+
+def _planted_profile_matrix(rng, m, n, k, p):
+    """(M, profile): M = L R mod p, an m x n matrix whose column rank profile
+    is a random k-subset of the columns.  The planted columns are the
+    columns of L, a row permutation of a unit lower triangular m x k matrix,
+    so they are independent; every other column j is L R[:, j], a random
+    combination of the planted columns left of j (R[i, j] = 0 when planted
+    column i lies right of j)."""
+    profile = np.sort(rng.choice(n, k, replace=False))
+    L = np.tril(rng.integers(0, p, (m, k)), -1)
+    L[np.arange(k), np.arange(k)] = 1
+    L = L[rng.permutation(m)]
+    R = rng.integers(0, p, (k, n))
+    for j in range(n):
+        R[np.searchsorted(profile, j, side="right"):, j] = 0
+    R[:, profile] = np.eye(k, dtype=np.int64)
+    return _mulmod_int64(L, R, p), profile.tolist()
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, ALTERNATE_PRIME, 101, 2])
+def test_rank_profile_planted(p):
+    rng = np.random.default_rng(p % 997)
+    cases = [
+        (m, n, k)
+        for n in (31, 33, 127, 129, 161, 193)
+        for m in (n // 2, n + 9)
+        for k in sorted({min(m, n), min(m, n) // 3})
+    ]
+    cases.append((300, 600, 290))
+    for m, n, k in cases:
+        M, planted = _planted_profile_matrix(rng, m, n, k, p)
+        before = M.copy()
+        profile = rank_profile(M, p)
+        assert profile == planted, (p, m, n, k)
+        assert rank_fp(M, p) == len(profile) == k
+        assert np.array_equal(M, before)
+        # A = M^T has the planted columns as its row rank profile, read off
+        # A.T, a column-major view; the ranks of its row prefixes never
+        # decrease, and grow by at most one a row
+        A = np.ascontiguousarray(M.T)
+        row_profile = rank_profile(A.T, p)
+        assert row_profile == planted and rank_fp(A, p) == k
+        prefix = [bisect_left(row_profile, i) for i in range(n + 1)]
+        assert all(0 <= b - a <= 1 for a, b in zip(prefix, prefix[1:]))
+
+
+def test_prefix_ranks_match_exact_oracle():
+    # the systems of test_prime_field_rank_matches_exact_oracle: the rank of
+    # every point prefix, read off one row rank profile of the whole matrix
+    rng = random.Random(20260823)
+    for _ in range(100):
+        space, degree, scheme = _random_pinned_instance(rng)
+        mat = build_matrix(space, degree, scheme, prime=DEFAULT_PRIME, seed=0)
+        profile = rank_profile(mat.array.T, DEFAULT_PRIME)
+        ranks = []
+        for k in range(1, len(scheme.points) + 1):
+            prefix = FatPointScheme(scheme.points[:k])
+            rows = prefix.conditions(space.ambient_dim())
+            ranks.append(bisect_left(profile, rows))
+            assert ranks[-1] == exact_rank_oracle(space, degree, prefix), (
+                space, degree, scheme.type_label(), k
+            )
+        assert ranks == sorted(ranks)
+
+
+def test_dimensions_prefix_certificates():
+    sp, dg = MultiProjectiveSpace((1, 1)), Multidegree((3, 3))
+    scheme, config = make_scheme("3,2^5"), PrimeFieldConfig(seed=4)
+    certs = dimensions(sp, dg, scheme, [1, 3, 6, 0], config)
+    for k, cert in zip([1, 3, 6, 0], certs):
+        prefix = FatPointScheme(scheme.points[:k])
+        assert cert.to_json() == dimension(sp, dg, prefix, config).to_json()
+    with pytest.raises(ValueError):
+        dimensions(sp, dg, scheme, [7])
+
 
 def test_matrix_shape_and_provenance():
     sp = MultiProjectiveSpace((1, 1))

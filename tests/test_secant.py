@@ -1,6 +1,20 @@
-from fatpoints.engine import DimensionVerdict, dimension
-from fatpoints.schemes import make_scheme
+import itertools
+
+import pytest
+
+from fatpoints import engine
+from fatpoints.arith import r_down, r_up
+from fatpoints.engine import (
+    DimensionVerdict,
+    PrimeFieldConfig,
+    build_matrix,
+    dimension,
+    dimensions,
+    rank_fp,
+)
+from fatpoints.schemes import FatPointScheme, JetCondition, make_scheme
 from fatpoints.secant import (
+    collision_r_values,
     critical_r,
     is_defective,
     secant_dim,
@@ -49,6 +63,66 @@ def test_critical_r():
     assert critical_r(MultiProjectiveSpace((1, 1)), Multidegree((3, 3))) == (5, 6)
     assert critical_r(MultiProjectiveSpace((2, 2)), Multidegree((4, 4))) == (45, 46)
     assert critical_r(MultiProjectiveSpace((1, 2)), Multidegree((3, 4))) == (15, 16)
+
+
+def test_critical_counts_match_arith():
+    grid = itertools.product(range(1, 5), range(1, 5), range(1, 6), range(1, 6))
+    for m, n, c, d in grid:
+        space, degree = MultiProjectiveSpace((m, n)), Multidegree((c, d))
+        down, up = r_down(c, d, m, n), r_up(c, d, m, n)
+        assert critical_r(space, degree) == (down, down + 1)
+        assert collision_r_values(space, degree) == tuple(sorted({down, up}))
+
+
+# P^2 in degrees 2 and 4 and P^4 in degree 3 retry at r_low, P^2 x P^2 in
+# bidegree (1,1) at r_high; P^1 x P^1 in (3,3) certifies both at once
+_RETRY_HEAVY = [
+    ((2,), (2,)), ((2,), (4,)), ((4,), (3,)), ((1, 1), (3, 3)), ((2, 2), (1, 1)),
+]
+
+
+@pytest.mark.parametrize("dims,degs", _RETRY_HEAVY)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_is_defective_matches_separate_eliminations(dims, degs, seed):
+    space, degree = MultiProjectiveSpace(dims), Multidegree(degs)
+    config = PrimeFieldConfig(seed=seed)
+    rep = is_defective(space, degree, config)
+    for r, cert in ((rep.r_low, rep.low), (rep.r_high, rep.high)):
+        scheme = make_scheme([(2, r)])
+        # each run's dimension from the subscheme's own, untransposed matrix
+        for p, sd, dim in cert.runs:
+            mat = build_matrix(space, degree, scheme, prime=p, seed=sd)
+            assert dim == mat.cols - rank_fp(mat.array, p), (r, p, sd)
+        assert cert.rows == mat.rows
+        assert cert.to_json() == dimension(space, degree, scheme, config).to_json()
+
+
+def test_is_defective_builds_one_matrix_per_attempt(monkeypatch):
+    calls = []
+    real = engine.build_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "build_matrix", counting)
+    retried = 0
+    for dims, degs in _RETRY_HEAVY:
+        calls.clear()
+        rep = is_defective(MultiProjectiveSpace(dims), Multidegree(degs))
+        attempts = max(len(rep.low.runs), len(rep.high.runs))
+        assert len(calls) == attempts
+        retried += attempts > 1
+    assert retried
+
+
+def test_dimensions_rejects_prefixes_of_a_scheme_with_jets():
+    space, degree = MultiProjectiveSpace((1, 1)), Multidegree((3, 3))
+    scheme = FatPointScheme(make_scheme([(2, 6)]).points, jets=[JetCondition(0, 1)])
+    # jet rows come after every point row: only the whole scheme is a prefix
+    assert dimensions(space, degree, scheme, [6])[0].rows == 19
+    with pytest.raises(ValueError, match="jets"):
+        dimensions(space, degree, scheme, [5, 6])
 
 
 def test_is_defective_verdicts():
