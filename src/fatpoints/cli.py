@@ -24,9 +24,9 @@ from .degeneration import (
     star_nonspeciality_check,
     star_span_check,
 )
-from .engine import DEFAULT_PRIME, DimensionVerdict, PrimeFieldConfig, dimension
+from .engine import DimensionVerdict, PrimeFieldConfig, dimension
 from .replication import run_basecases
-from .schemes import make_scheme, virtual_dim
+from .schemes import make_scheme
 from .secant import is_defective, secant_dim, theorem_hypotheses
 from .spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
 
@@ -67,7 +67,7 @@ def _parse_divisor(text: str) -> DivisorSpec:
         )
 
 
-def _strata_from_flags(space, on_divisor: list[str] | None, npoints: int):
+def _strata_from_flags(space, on_divisor: list[str] | None):
     """Each --on-divisor FACTOR:INDEX:COUNT confines the next COUNT points
     (in scheme order) to the coordinate divisor {x_index = 0}."""
     strata: list[CoordinateSubvariety | None] = []
@@ -78,19 +78,11 @@ def _strata_from_flags(space, on_divisor: list[str] | None, npoints: int):
         factor, index, count = (int(t) for t in parts)
         sub = DivisorSpec(factor, index).as_subvariety(space)
         strata.extend([sub] * count)
-    if len(strata) > npoints:
-        raise ValueError("--on-divisor flags cover more points than the scheme has")
     return strata
 
 
 def _config(args) -> PrimeFieldConfig:
-    prime = args.prime
-    if prime is None:
-        prime = int(os.environ.get("FATPOINTS_PRIME", DEFAULT_PRIME))
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("FATPOINTS_SEED", 0))
-    return PrimeFieldConfig(prime=prime, seed=seed, retries=args.retries)
+    return PrimeFieldConfig(prime=args.prime, seed=args.seed, retries=args.retries)
 
 
 def _status_exit(status: DimensionVerdict) -> int:
@@ -101,22 +93,16 @@ def _status_exit(status: DimensionVerdict) -> int:
     return EXIT_INCONCLUSIVE
 
 
-# --- subcommand handlers: return (request, doc, text, exit_code) ---------
+# --- subcommand handlers: return (doc, text, exit_code) -----------------
 
 
 def _cmd_dim(args, config):
     space = _parse_space(args.space)
     degree = _parse_deg(args.deg)
-    strata = _strata_from_flags(space, args.on_divisor, 10**9)
+    strata = _strata_from_flags(space, args.on_divisor)
     profile = args.scheme
     scheme = make_scheme(profile, strata or None)
     cert = dimension(space, degree, scheme, config)
-    request = {
-        "command": "dim",
-        "space": list(space.factor_dims),
-        "degree": list(degree.degrees),
-        "scheme": scheme.to_json(),
-    }
     doc = {
         "space": list(space.factor_dims),
         "degree": list(degree.degrees),
@@ -128,37 +114,26 @@ def _cmd_dim(args, config):
         f"dim {cert.computed_dim} (vdim {cert.virtual_dim}, "
         f"expected {cert.expected_dim}) {cert.status.value}"
     )
-    return request, doc, text, _status_exit(cert.status)
+    return doc, text, _status_exit(cert.status)
 
 
 def _cmd_secant(args, config):
     space = _parse_space(args.space)
     degree = _parse_deg(args.deg)
     verdict = secant_dim(space, degree, args.r, config)
-    request = {
-        "command": "secant",
-        "space": list(space.factor_dims),
-        "degree": list(degree.degrees),
-        "r": args.r,
-    }
     doc = verdict.to_json()
     text = (
         f"sigma_{args.r} of the ({degree.label()}) embedding of {space.label()}: "
         f"dim {verdict.actual_dim}, expected {verdict.expected_dim}, "
         f"defect {verdict.defect}"
     )
-    return request, doc, text, _status_exit(verdict.certificate.status)
+    return doc, text, _status_exit(verdict.certificate.status)
 
 
 def _cmd_defective(args, config):
     space = _parse_space(args.space)
     degree = _parse_deg(args.deg)
     report = is_defective(space, degree, config)
-    request = {
-        "command": "defective",
-        "space": list(space.factor_dims),
-        "degree": list(degree.degrees),
-    }
     doc = report.to_json()
     if report.certified_nondefective:
         text = (
@@ -175,18 +150,13 @@ def _cmd_defective(args, config):
     else:
         text = f"({degree.label()}) embedding of {space.label()}: inconclusive"
         code = EXIT_INCONCLUSIVE
-    return request, doc, text, code
+    return doc, text, code
 
 
 def _cmd_hypotheses(args, config):
     space = _parse_space(args.space)
     degree = _parse_deg(args.deg)
     report = theorem_hypotheses(space, degree, config)
-    request = {
-        "command": "hypotheses",
-        "space": list(space.factor_dims),
-        "degree": list(degree.degrees),
-    }
     doc = report.to_json()
     verdict = "hold" if report.all_hold else "FAIL"
     text = (
@@ -194,12 +164,11 @@ def _cmd_hypotheses(args, config):
         f"at r in {list(report.r_values)}: {verdict} "
         f"(dim L(3) = {report.dim3}, dim L(4) = {report.dim4})"
     )
-    return request, doc, text, EXIT_OK if report.all_hold else EXIT_FAIL
+    return doc, text, EXIT_OK if report.all_hold else EXIT_FAIL
 
 
 def _cmd_basecases(args, config):
     report = run_basecases(filter=args.filter, config=config)
-    request = {"command": "basecases", "filter": args.filter}
     lines = [
         f"{'ok  ' if e['ok'] else 'FAIL'} {e['id']:24s} "
         f"L_{{{'x'.join(map(str, e['space']))}}}^{{{','.join(map(str, e['degree']))}}}"
@@ -210,42 +179,31 @@ def _cmd_basecases(args, config):
         f"{report['total']} fixtures, "
         + ("all pass" if report["passed"] else f"FAILED: {report['failed']}")
     )
-    return request, report, "\n".join(lines), EXIT_OK if report["passed"] else EXIT_FAIL
-
-
-def _parse_bound(text: str) -> int:
-    """'--n HI' -> HI.  Each lemma is checked on its own hypothesis range up
-    to HI, so there is no lower bound to give: 'LO..HI' is a usage error."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"--n takes one upper bound HI, got {text!r}") from None
+    return report, "\n".join(lines), EXIT_OK if report["passed"] else EXIT_FAIL
 
 
 def _cmd_verify_arith(args, config):
-    bound = _parse_bound(args.n) if args.n is not None else args.bound
     if args.lemma:
         ids = [args.lemma]
     else:
         ids = arith.lemma_ids()
     results = {}
     for lid in ids:
-        results[lid] = arith.verify_lemma(lid, bound=bound)
+        results[lid] = arith.verify_lemma(lid, bound=args.bound)
     total = sum(len(v) for v in results.values())
-    request = {"command": "verify-arith", "lemmas": ids, "bound": bound}
     doc = {
-        "bound": bound,
+        "bound": args.bound,
         "lemmas": {
             lid: {"counterexamples": [list(c) for c in ces]}
             for lid, ces in results.items()
         },
         "total_counterexamples": total,
     }
-    text = f"{len(ids)} lemma(s) checked up to {bound}: {total} counterexamples"
+    text = f"{len(ids)} lemma(s) checked up to {args.bound}: {total} counterexamples"
     for lid, ces in results.items():
         if ces:
             text += f"\n  {lid}: {ces[:5]}"
-    return request, doc, text, EXIT_OK if total == 0 else EXIT_FAIL
+    return doc, text, EXIT_OK if total == 0 else EXIT_FAIL
 
 
 def _cmd_star(args, config):
@@ -253,7 +211,6 @@ def _cmd_star(args, config):
     span_ok = star_span_check(star)
     certs = star_nonspeciality_check(args.n, config)
     ok = span_ok and all(c.status.certified for c in certs.values())
-    request = {"command": "star", "n": args.n}
     doc = {
         "n": args.n,
         "span_ok": span_ok,
@@ -268,31 +225,24 @@ def _cmd_star(args, config):
             for name, c in certs.items()
         )
     )
-    return request, doc, text, EXIT_OK if ok else EXIT_FAIL
+    return doc, text, EXIT_OK if ok else EXIT_FAIL
 
 
 def _cmd_castelnuovo(args, config):
     space = _parse_space(args.space)
     degree = _parse_deg(args.deg)
-    strata = _strata_from_flags(space, args.on_divisor, 10**9)
+    strata = _strata_from_flags(space, args.on_divisor)
     scheme = make_scheme(args.scheme, strata or None)
     divisor = _parse_divisor(args.divisor)
     report = castelnuovo_bound_check(space, degree, scheme, divisor, config)
     ok = report["additive"] and report["bound_holds"] and report["vdim_le_dim"]
-    request = {
-        "command": "castelnuovo",
-        "space": list(space.factor_dims),
-        "degree": list(degree.degrees),
-        "scheme": scheme.to_json(),
-        "divisor": [divisor.factor, divisor.index],
-    }
     text = (
         f"dim {report['dim']} <= {report['dim_residue']} (residue) + "
         f"{report['dim_trace']} (trace): "
         f"{'holds' if report['bound_holds'] else 'FAILS'}; vdim additivity "
         f"{'holds' if report['additive'] else 'FAILS'}"
     )
-    return request, dict(report, passed=ok), text, EXIT_OK if ok else EXIT_FAIL
+    return dict(report, passed=ok), text, EXIT_OK if ok else EXIT_FAIL
 
 
 # --- cache ---------------------------------------------------------------
@@ -312,7 +262,7 @@ def _request_key(args, config: PrimeFieldConfig) -> str:
 
 def _cache_lookup(path: str, key: str):
     try:
-        fh = open(path)
+        fh = open(path, "rb")
     except FileNotFoundError:
         return None
     hit = None
@@ -323,9 +273,15 @@ def _cache_lookup(path: str, key: str):
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a damaged line, e.g. a write cut short
-            if rec.get("key") == key:
+            except ValueError:
+                continue  # a damaged line: cut short, or not UTF-8
+            # a hit must be a record as _cache_append writes it
+            if (
+                isinstance(rec, dict) and rec.get("key") == key
+                and isinstance(rec.get("result"), dict)
+                and isinstance(rec.get("text"), str)
+                and isinstance(rec.get("exit"), int)
+            ):
                 hit = rec
     return hit
 
@@ -346,9 +302,9 @@ def _cache_append(path: str, rec: dict):
 
 
 def _add_common(sp):
-    sp.add_argument("--prime", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--retries", type=int, default=2)
+    sp.add_argument("--prime", type=int, default=PrimeFieldConfig.prime)
+    sp.add_argument("--seed", type=int, default=PrimeFieldConfig.seed)
+    sp.add_argument("--retries", type=int, default=PrimeFieldConfig.retries)
     sp.add_argument("--json", action="store_true", help="emit a JSON report")
     sp.add_argument("--cache", metavar="PATH", help="JSONL result cache")
 
@@ -398,7 +354,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("verify-arith", help="check the arithmetic lemmas")
     sp.add_argument("--lemma", default=None)
     sp.add_argument("--bound", type=int, default=40)
-    sp.add_argument("--n", default=None, metavar="HI", help="same as --bound")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_verify_arith)
 
@@ -416,6 +371,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _usage(message) -> int:
+    print(f"fatpoints: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -426,12 +386,14 @@ def main(argv=None) -> int:
     try:
         config = _config(args)
     except ValueError as exc:
-        print(f"fatpoints: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(exc)
 
     key = _request_key(args, config)
     if args.cache:
-        rec = _cache_lookup(args.cache, key)
+        try:
+            rec = _cache_lookup(args.cache, key)
+        except OSError as exc:
+            return _usage(f"cannot read the cache file {args.cache}: {exc.strerror}")
         if rec is not None:
             cached_doc = dict(rec["result"], cached=True)
             if args.json:
@@ -441,17 +403,18 @@ def main(argv=None) -> int:
             return rec["exit"]
 
     try:
-        request, doc, text, code = args.handler(args, config)
+        doc, text, code = args.handler(args, config)
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"fatpoints: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(exc)
 
     if args.cache:
-        _cache_append(
-            args.cache,
-            {"key": key, "request": request, "result": doc,
-             "text": text, "exit": code},
-        )
+        try:
+            _cache_append(
+                args.cache, {"key": key, "result": doc, "text": text, "exit": code}
+            )
+        except OSError as exc:
+            reason = exc.strerror or exc
+            return _usage(f"cannot write the cache file {args.cache}: {reason}")
 
     if args.json:
         print(json.dumps(doc, sort_keys=True, indent=2))

@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .engine import Certificate, PrimeFieldConfig, dimension, draw_scheme_points
+from .engine import (
+    DEFAULT_PRIME,
+    Certificate,
+    PrimeFieldConfig,
+    dimension,
+    draw_scheme_points,
+)
 from .schemes import (
     FatPoint,
     FatPointScheme,
@@ -287,15 +293,14 @@ def star_configuration(n: int, prime: int, seed: int) -> StarConfiguration:
     return star
 
 
-def star_span_check(star: StarConfiguration, max_subset: int | None = None) -> bool:
+def star_span_check(star: StarConfiguration) -> bool:
     """Every subset I of anchors with |I| = s >= 3 gives points t_ij,
     i,j in I, spanning at most a P^{s-2}."""
     from .engine import rank_fp
     import numpy as np
 
     n1 = star.n + 1
-    top = min(max_subset or n1, n1)
-    for size in range(3, top + 1):
+    for size in range(3, n1 + 1):
         for subset in combinations(range(n1), size):
             rows = [
                 star.points[(i, j)]
@@ -335,32 +340,27 @@ def star_nonspeciality_check(
 def collision_scheme(
     space: MultiProjectiveSpace,
     extra_doubles: int,
-    star_directions: bool = True,
     seed: int = 0,
-    prime: int = 2**31 - 1,
 ) -> FatPointScheme:
     """The limit of N+1 colliding 2-fat points (N = ambient dimension):
     one 3-fat point plus binom(N+1,2) order-3 jet conditions along the
     pairwise directions of the colliding points, plus the remaining
     general 2-fat points.
 
-    With star_directions the jet directions are the pairwise differences
-    of N+1 random tangent vectors (the directions actually arising from a
-    collision); otherwise they are left general.
+    The jet directions are the pairwise differences of N+1 random tangent
+    vectors mod DEFAULT_PRIME, the directions actually arising from a
+    collision.
     """
     N = space.ambient_dim()
     points = [FatPoint(3)] + [FatPoint(2) for _ in range(extra_doubles)]
     jets: list[JetCondition] = []
-    if star_directions:
-        rng = random.Random(seed ^ 0x5F3759DF)
-        vecs = [
-            tuple(rng.randrange(prime) for _ in range(N)) for _ in range(N + 1)
-        ]
-        for i, j in combinations(range(N + 1), 2):
-            d = tuple((a - b) % prime for a, b in zip(vecs[i], vecs[j]))
-            jets.append(JetCondition(0, 3, d))
-    else:
-        jets = [JetCondition(0, 3, None) for _ in range(comb(N + 1, 2))]
+    rng = random.Random(seed ^ 0x5F3759DF)
+    vecs = [
+        tuple(rng.randrange(DEFAULT_PRIME) for _ in range(N)) for _ in range(N + 1)
+    ]
+    for i, j in combinations(range(N + 1), 2):
+        d = tuple((a - b) % DEFAULT_PRIME for a, b in zip(vecs[i], vecs[j]))
+        jets.append(JetCondition(0, 3, d))
     return FatPointScheme(points, jets)
 
 

@@ -8,7 +8,9 @@ turn is at least max(0, virtual dimension).  Hence:
 
 * computed == expected  certifies the system (status Regular or Zero);
 * computed > expected   is only evidence of speciality (SpecialCandidate),
-  reported after retrying with fresh points and an alternate prime.
+  reported after retrying with fresh points and an alternate prime
+  (ALTERNATE_PRIME, or DEFAULT_PRIME when the configured prime is
+  ALTERNATE_PRIME).
 
 Rows of the matrix are partial derivatives d^beta of order < a per fat point
 (in the affine chart where the first nonvanishing coordinate of each factor
@@ -47,7 +49,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .schemes import FatPointScheme, expected_dim, virtual_dim
+from .schemes import FatPointScheme, virtual_dim
 from .spaces import Multidegree, MultiProjectiveSpace, compositions, ideal_basis
 
 DEFAULT_PRIME = 2147483647
@@ -81,16 +83,10 @@ class PrimeFieldConfig:
     prime: int = DEFAULT_PRIME
     seed: int = 0
     retries: int = 2
-    alternate_prime: int = ALTERNATE_PRIME
 
     def __post_init__(self):
-        if self.prime < 2 or self.alternate_prime < 2:
-            raise ValueError("primes must be >= 2")
-        if self.prime >= 2**31 or self.alternate_prime >= 2**31:
-            raise ValueError("primes must fit in 31 bits")
-        for name in ("prime", "alternate_prime"):
-            if not _is_prime(getattr(self, name)):
-                raise ValueError(f"{name} {getattr(self, name)} is not prime")
+        if not (2 <= self.prime < 2**31 and _is_prime(self.prime)):
+            raise ValueError(f"prime must be a prime below 2^31, got {self.prime}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
 
@@ -217,12 +213,6 @@ def _derivative_multiindices(multiplicity: int, n_aff: int):
 @dataclass
 class InterpolationMatrix:
     array: np.ndarray
-    row_provenance: list[tuple]
-    prime: int
-    seed: int
-    points: list[tuple[int, ...]]
-    charts: list[tuple[int, ...]]
-    directions: list[tuple[int, ...]]
 
     @property
     def rows(self) -> int:
@@ -268,7 +258,6 @@ def build_matrix(
     nrows = scheme.conditions(space.ambient_dim())
     first_jet_row = nrows - len(scheme.jets)
     A = np.empty((nrows, ncols), dtype=np.int64)
-    provenance: list[tuple] = []
     r = 0
     for pi, (pt, q, chart) in enumerate(zip(scheme.points, points, charts)):
         affine = np.array([k for k in range(C) if k not in chart])
@@ -283,13 +272,11 @@ def build_matrix(
 
         betas = list(_derivative_multiindices(pt.multiplicity, len(affine)))
         A[r : r + len(betas)] = _derivative_rows(T, betas, p)
-        provenance += [("point", pi, beta) for beta in betas]
         r += len(betas)
         for ji, jet in jets:
             A[first_jet_row + ji] = _jet_row(T, jet.order, directions[ji], p)
-    provenance += [("jet", ji) for ji in range(len(scheme.jets))]
 
-    return InterpolationMatrix(A, provenance, p, seed, points, charts, directions)
+    return InterpolationMatrix(A)
 
 
 def _derivative_rows(T: np.ndarray, betas: list[tuple[int, ...]], p: int) -> np.ndarray:
@@ -466,10 +453,10 @@ def dimensions(
     Points are drawn in order, each from its own draws of the seeded
     stream, so the rows of the first k points are a row prefix of the whole
     scheme's matrix at the same (prime, seed).  Each attempt builds that
-    matrix once and reads the rank of every prefix off its row rank
-    profile; each prefix keeps its own runs and stops at its own first
-    certifying attempt.  Jet rows come last, so a scheme with jets has no
-    proper prefixes."""
+    matrix once, or only the longest prefix still open, and reads the rank
+    of every open prefix off its row rank profile; each prefix keeps its own
+    runs and stops at its own first certifying attempt.  Jet rows come last,
+    so a scheme with jets has no proper prefixes."""
     config = config or PrimeFieldConfig()
     npts = len(scheme.points)
     subs = []
@@ -491,7 +478,9 @@ def dimensions(
     attempts += [
         (config.prime, config.child_seed(i)) for i in range(1, config.retries + 1)
     ]
-    attempts.append((config.alternate_prime, config.seed))
+    # the last attempt changes the prime as well as the points
+    alternate = DEFAULT_PRIME if config.prime == ALTERNATE_PRIME else ALTERNATE_PRIME
+    attempts.append((alternate, config.seed))
 
     runs: list[list[tuple[int, int, int]]] = [[] for _ in subs]
     cols = 0
@@ -500,7 +489,9 @@ def dimensions(
         todo = [i for i, rs in enumerate(runs) if not rs or rs[-1][2] != exps[i]]
         if not todo:
             break
-        mat = build_matrix(space, degree, scheme, prime=p, seed=sd)
+        # each open prefix's matrix is a row prefix of the longest one's
+        longest = max(todo, key=lambda i: rows[i])
+        mat = build_matrix(space, degree, subs[longest], prime=p, seed=sd)
         profile = rank_profile(mat.array.T, p)
         cols = mat.cols
         for i in todo:

@@ -245,14 +245,14 @@ def build_default_registry() -> list[BaseCase]:
 # --- specialization-table bookkeeping ----------------------------------
 
 
-def reconcile_specializations(n_values=range(10, 41)) -> list[str]:
+def reconcile_specializations() -> list[str]:
     """The chained specializations of the (2,3)-on-P1xPn argument must
     preserve the multiplicity profile (3, 2^{s(n)}) at every step.  Checks
     the component tables of each step against the previous one and returns
     a list of mismatch descriptions (expected empty); mismatches are
     reported, not repaired."""
     flags = []
-    for n in n_values:
+    for n in range(10, 41):
         profiles = {
             "start": s(n),
             "one-stratum": s(n - 2) + (2 * n + 1),
@@ -366,14 +366,13 @@ def verify_main_theorem(
     max_m: int = 3,
     max_n: int = 3,
     config: PrimeFieldConfig | None = None,
-    degrees: tuple[tuple[int, int], ...] = ((3, 3), (3, 4), (4, 4)),
 ) -> dict:
     """Certify non-defectivity of the multidegree-(c,d) embeddings of
-    P^m x P^n for all 1 <= m <= max_m, 1 <= n <= max_n by checking the
-    two critical numbers of double points."""
+    P^m x P^n, (c,d) = (3,3), (3,4), (4,4), for all 1 <= m <= max_m,
+    1 <= n <= max_n by checking the two critical numbers of double points."""
     entries = []
     ok = True
-    for c, d in degrees:
+    for c, d in ((3, 3), (3, 4), (4, 4)):
         for m in range(1, max_m + 1):
             for n in range(1, max_n + 1):
                 rep = is_defective(

@@ -11,7 +11,6 @@ to a coordinate stratum) or pinned to explicit coordinates.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from math import comb
@@ -169,13 +168,6 @@ class FatPointScheme:
             CoordinateSubvariety.from_json(sd) for sd in doc.get("contained", [])
         ]
         return FatPointScheme(points, jets, contained)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @staticmethod
-    def loads(text: str) -> "FatPointScheme":
-        return FatPointScheme.from_json(json.loads(text))
 
 
 _TYPE_TERM = re.compile(r"^(\d+)(?:\^(\d+))?$")

@@ -18,7 +18,7 @@ from .engine import (
     dimension,
     dimensions,
 )
-from .schemes import FatPointScheme, conditions_of_fat_point, make_scheme
+from .schemes import make_scheme
 from .spaces import Multidegree, MultiProjectiveSpace, basis_size
 
 

@@ -89,9 +89,6 @@ class Monomial:
     def flat(self) -> tuple[int, ...]:
         return tuple(e for block in self.exponents for e in block)
 
-    def divisible_by_coord(self, factor: int, index: int) -> bool:
-        return self.exponents[factor][index] > 0
-
 
 @dataclass(frozen=True)
 class CoordinateSubvariety:

@@ -1,8 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from fatpoints import cli
+from fatpoints import __version__, cli
 from fatpoints.cli import main
 
 
@@ -107,26 +109,18 @@ def test_cache_record_of_another_version_is_a_miss(tmp_path, monkeypatch, capsys
     assert json.loads(run_cli(capsys, *args)[1])["cached"] is True
 
 
-def test_env_overrides(monkeypatch, capsys):
-    monkeypatch.setenv("FATPOINTS_SEED", "99")
-    _, out, _ = run_cli(capsys, "dim", "--space", "1x1", "--deg", "3,3",
-                        "--scheme", "3,2^3", "--json")
-    assert json.loads(out)["certificate"]["seed"] == 99
+def test_version_matches_pyproject():
+    # the cache key hashes __version__, so it must follow the release
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.M)[1] == __version__
 
 
 def test_verify_arith_cli(capsys):
     code, out, _ = run_cli(capsys, "verify-arith", "--lemma", "b-mod3",
-                           "--n", "60")
+                           "--bound", "60")
     assert code == 0
     assert "0 counterexamples" in out
     assert "up to 60" in out
-
-
-def test_verify_arith_range_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "verify-arith", "--lemma", "b-mod3",
-                             "--n", "50..60")
-    assert code == 64
-    assert "'50..60'" in err and not out
 
 
 def test_cache_record_is_one_write(tmp_path, monkeypatch):
@@ -184,15 +178,34 @@ def test_on_divisor_overflow_is_usage_error(capsys):
 
 
 def test_damaged_cache_line_is_skipped(tmp_path, capsys):
-    cache = tmp_path / "cache.jsonl"
-    args = ("dim", "--space", "1x1", "--deg", "3,3", "--scheme", "3,2^3",
-            "--cache", str(cache))
-    code1, out1, _ = run_cli(capsys, *args)
-    with open(cache, "a") as fh:
-        fh.write('{"key": "abc", "resu')
-    code2, out2, _ = run_cli(capsys, *args)
-    assert code1 == code2 == 0
-    assert out1 == out2
+    # cut short, not UTF-8, and valid JSON that is not an object
+    for i, damage in enumerate(
+        [b'{"key": "abc", "resu', b'{"key": "\xff\xfe"}', b"[1,2]", b'"x"', b"7"]
+    ):
+        cache = tmp_path / f"cache{i}.jsonl"
+        args = ("dim", "--space", "1x1", "--deg", "3,3", "--scheme", "3,2^3",
+                "--cache", str(cache))
+        cache.write_bytes(damage + b"\n")
+        code1, out1, _ = run_cli(capsys, *args)
+        with open(cache, "ab") as fh:
+            fh.write(damage)
+        code2, out2, _ = run_cli(capsys, *args)
+        assert code1 == code2 == 0, damage
+        assert out1 == out2
+        assert len(cache.read_bytes().splitlines()) == 3
+    # an object under the request's key that lacks a record's fields
+    key = json.loads(cache.read_bytes().splitlines()[1])["key"]
+    cache.write_text(json.dumps({"key": key, "exit": "0"}) + "\n")
+    code3, out3, _ = run_cli(capsys, *args)
+    assert code3 == 0 and out3 == out1
+
+
+def test_unusable_cache_path_is_usage_error(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing" / "cache.jsonl"):
+        code, out, err = run_cli(capsys, "dim", "--space", "1x1", "--deg", "3,3",
+                                 "--scheme", "2", "--cache", str(path))
+        assert code == 64 and not out
+        assert str(path) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag,value", [("--prime", "1000"), ("--retries", "-3")])

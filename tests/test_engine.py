@@ -192,11 +192,16 @@ def test_dimensions_prefix_certificates():
 
 
 def test_matrix_shape_and_provenance():
-    sp = MultiProjectiveSpace((1, 1))
-    mat = build_matrix(sp, Multidegree((3, 3)), make_scheme("3,2^3"))
-    assert mat.array.shape == (15, 16)
-    kinds = [tag[0] for tag in mat.row_provenance]
-    assert kinds.count("point") == 15
+    sp, dg = MultiProjectiveSpace((1, 1)), Multidegree((3, 3))
+    points = make_scheme("3,2^3").points
+    # jet rows come last: the matrix without the jets is a row prefix
+    jets = [JetCondition(0, 2), JetCondition(1, 1, (5, 7))]
+    for p, sd in ((DEFAULT_PRIME, 0), (101, 3)):
+        without = build_matrix(sp, dg, FatPointScheme(points), prime=p, seed=sd)
+        full = build_matrix(sp, dg, FatPointScheme(points, jets), prime=p, seed=sd)
+        assert without.array.shape == (15, 16)
+        assert full.rows == without.rows + 2
+        assert (full.array[: without.rows] == without.array).all()
 
 
 def test_certified_regular():
@@ -223,6 +228,17 @@ def test_special_candidate_retries():
     # retried with fresh seeds and the alternate prime
     assert len(cert.runs) == 4
     assert {p for p, _, _ in cert.runs} == {DEFAULT_PRIME, ALTERNATE_PRIME}
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, ALTERNATE_PRIME])
+def test_last_attempt_changes_the_prime(prime):
+    (other,) = {DEFAULT_PRIME, ALTERNATE_PRIME} - {prime}
+    cert = dimension(
+        MultiProjectiveSpace((2,)), Multidegree((4,)), make_scheme("2^5"),
+        PrimeFieldConfig(prime=prime),
+    )
+    assert cert.status == DimensionVerdict.SPECIAL_CANDIDATE
+    assert [p for p, _, _ in cert.runs] == [prime, prime, prime, other]
 
 
 def test_zero_label_at_vdim_zero():
@@ -312,7 +328,7 @@ def test_jet_row_matches_exact_oracle():
         mat = build_matrix(space, degree, scheme, prime=DEFAULT_PRIME, seed=0)
         assert rank_fp(mat.array, DEFAULT_PRIME) == exact_rank_oracle(
             space, degree, scheme
-        ), (space, degree, scheme.dumps())
+        ), (space, degree, scheme.to_json())
 
 
 def test_computed_dim_at_least_vdim():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fatpoints.schemes import (
@@ -90,7 +92,7 @@ def test_json_roundtrip():
         jets=[JetCondition(0, 3, (1, 0, 2)), JetCondition(0, 2)],
         contained=[sub],
     )
-    again = FatPointScheme.loads(scheme.dumps())
+    again = FatPointScheme.from_json(json.loads(json.dumps(scheme.to_json())))
     assert again == scheme
 
 

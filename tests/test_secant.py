@@ -101,9 +101,9 @@ def test_is_defective_builds_one_matrix_per_attempt(monkeypatch):
     calls = []
     real = engine.build_matrix
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["seed"])
-        return real(*args, **kwargs)
+    def counting(space, degree, scheme, **kwargs):
+        calls.append(len(scheme.points))
+        return real(space, degree, scheme, **kwargs)
 
     monkeypatch.setattr(engine, "build_matrix", counting)
     retried = 0
@@ -111,9 +111,16 @@ def test_is_defective_builds_one_matrix_per_attempt(monkeypatch):
         calls.clear()
         rep = is_defective(MultiProjectiveSpace(dims), Multidegree(degs))
         attempts = max(len(rep.low.runs), len(rep.high.runs))
-        assert len(calls) == attempts
+        # each attempt builds the points of the longest prefix still open
+        assert calls == [
+            rep.r_high if len(rep.high.runs) > a else rep.r_low
+            for a in range(attempts)
+        ]
         retried += attempts > 1
     assert retried
+    calls.clear()
+    is_defective(MultiProjectiveSpace((2,)), Multidegree((4,)))
+    assert calls == [6, 5, 5, 5]
 
 
 def test_dimensions_rejects_prefixes_of_a_scheme_with_jets():
