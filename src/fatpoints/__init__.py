@@ -41,7 +41,6 @@ from .schemes import (
     FatPointScheme,
     JetCondition,
     PointSpec,
-    expected_dim,
     make_scheme,
     parse_scheme_type,
     virtual_dim,

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable
 
+from .schemes import conditions_of_fat_point
+
 
 def multi_binom(c: int, d: int, m: int, n: int) -> int:
     """Number of monomials of bidegree (c,d) on P^m x P^n.
@@ -97,17 +99,11 @@ def j(m: int) -> int:
 
 def vdim_profile(c, d, m, n, profile: Iterable[tuple[int, int]]) -> int:
     """Virtual dimension of bidegree (c,d) on P^m x P^n with `count` points
-    of each multiplicity; profile entries are (multiplicity, count)."""
+    of each multiplicity; profile entries are (multiplicity, count).
+    vdim_profile(0, d, 0, n, profile) is degree d on a single P^n."""
     N = m + n
     return multi_binom(c, d, m, n) - sum(
-        count * comb(mult + N - 1, N) for mult, count in profile
-    )
-
-
-def vdim_veronese(d, n, profile: Iterable[tuple[int, int]]) -> int:
-    """Virtual dimension of degree d on a single P^n with fat points."""
-    return comb(n + d, n) - sum(
-        count * comb(mult + n - 1, n) for mult, count in profile
+        count * conditions_of_fat_point(mult, N) for mult, count in profile
     )
 
 
@@ -165,7 +161,8 @@ def _easy_hypotheses(m, n):
     ok = True
     for c, d in ((3, 3), (3, 4), (4, 3), (4, 4)):
         ok &= multi_binom(c, d, m, n) >= (N + 1) ** 2
-    ok &= comb(N + 3, 3) - comb(N + 2, 2) >= comb(N + 1, 2)
+    gap = conditions_of_fat_point(4, N) - conditions_of_fat_point(3, N)
+    ok &= gap >= comb(N + 1, 2)
     return ok
 
 
@@ -208,9 +205,9 @@ def _31_kup_diff_empty(n):
 def _ell_f_monotone(m, n):
     d_ell = ell(m, n) - ell(m - 1, n)
     d_f = f(m, n) - f(m - 1, n)
-    ok = vdim_veronese(3, n, [(1, 1), (2, d_ell)]) <= 0
+    ok = vdim_profile(0, 3, 0, n, [(1, 1), (2, d_ell)]) <= 0
     ok &= ell(m, n) >= ell(m - 1, n)
-    ok &= vdim_veronese(3, n, [(2, d_f)]) <= 0
+    ok &= vdim_profile(0, 3, 0, n, [(2, d_f)]) <= 0
     ok &= f(m, n) >= f(m - 1, n)
     return ok
 
@@ -312,7 +309,7 @@ def _s_upper(n):
 def _s_below_ell(n):
     ok = ell(2, n) - s(n) >= _ceil_div(comb(n + 3, 3) - 1, n + 1)
     ok &= s(n) <= ell(2, n)
-    ok &= vdim_veronese(3, n, [(1, 1), (2, ell(2, n) - s(n))]) <= 0
+    ok &= vdim_profile(0, 3, 0, n, [(1, 1), (2, ell(2, n) - s(n))]) <= 0
     return ok
 
 
@@ -602,9 +599,13 @@ def get_lemma(lemma_id: str) -> ArithLemma:
 
 def verify_lemma(lemma_id: str, bound: int = 40) -> list[tuple[int, ...]]:
     """Check one lemma on its hypothesis range up to `bound`; returns the
-    list of counterexamples (empty when the lemma holds)."""
+    list of counterexamples (empty when the lemma holds).  A bound below
+    the start of the range is an error: it would check nothing."""
     lem = get_lemma(lemma_id)
-    return [args for args in lem.domain(bound) if not lem.predicate(*args)]
+    domain = lem.domain(bound)
+    if not domain:
+        raise ValueError(f"lemma {lemma_id!r} has no cases up to bound {bound}")
+    return [args for args in domain if not lem.predicate(*args)]
 
 
 def verify_all(bound: int = 40) -> dict[str, list[tuple[int, ...]]]:

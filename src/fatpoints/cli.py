@@ -76,6 +76,8 @@ def _strata_from_flags(space, on_divisor: list[str] | None):
         if len(parts) != 3:
             raise ValueError(f"bad --on-divisor {spec!r}, expected FACTOR:INDEX:COUNT")
         factor, index, count = (int(t) for t in parts)
+        if count < 1:
+            raise ValueError(f"bad --on-divisor {spec!r}, COUNT must be >= 1")
         sub = DivisorSpec(factor, index).as_subvariety(space)
         strata.extend([sub] * count)
     return strata

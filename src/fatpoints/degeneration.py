@@ -26,6 +26,7 @@ from .schemes import (
     FatPointScheme,
     JetCondition,
     PointSpec,
+    conditions_of_fat_point,
     virtual_dim,
 )
 from .spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
@@ -366,4 +367,4 @@ def collision_scheme(
 
 def collision_conditions(N: int) -> int:
     """A collided block imposes as many conditions as N+1 2-fat points."""
-    return comb(N + 2, 2) + comb(N + 1, 2)
+    return conditions_of_fat_point(3, N) + comb(N + 1, 2)

@@ -133,6 +133,20 @@ class Certificate:
         }
 
 
+def status_matches(expected: str, cert: Certificate) -> bool:
+    """Whether a certificate certifies the expected verdict, "Regular" (the
+    dimension is the nonnegative vdim) or "Zero" (the system is empty at
+    vdim <= 0).  At vdim = 0 the labels Regular and Zero coincide, so
+    matching is on the numbers, not the label string."""
+    if not cert.status.certified:
+        return False
+    if expected == "Regular":
+        return cert.virtual_dim >= 0 and cert.computed_dim == cert.virtual_dim
+    if expected == "Zero":
+        return cert.virtual_dim <= 0 and cert.computed_dim == 0
+    raise ValueError(f"unknown expected status {expected!r}")
+
+
 def _draw_factor(rng: random.Random, count: int, vanishing: frozenset[int], p: int):
     for _ in range(64):
         vec = tuple(
@@ -242,7 +256,7 @@ def build_matrix(
         raise ValueError(f"{ncols} columns exceeds the {MAX_COLUMNS} column limit")
 
     C = space.total_coords()
-    E = np.array([m.flat() for m in basis], dtype=np.int64).reshape(ncols, C).T
+    E = np.array(basis, dtype=np.int64).reshape(ncols, C).T
     points, charts, directions = draw_scheme_points(space, scheme, p, seed)
 
     # basis-only tables for b = 0..max multiplicity (no jet order exceeds
@@ -533,10 +547,9 @@ def exact_rank_oracle(
     jet directions) must be pinned.  Intended for small cross-checks of
     the prime-field path; pure-Python Fraction arithmetic."""
     scheme.check(space)
-    basis = ideal_basis(space, degree, scheme.contained)
+    exps = ideal_basis(space, degree, scheme.contained)
     C = space.total_coords()
     offs = space.coord_offsets()
-    exps = [m.flat() for m in basis]
 
     rows: list[list[Fraction]] = []
     point_data = []

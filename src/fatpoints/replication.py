@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .arith import b, ell, j, k_down, k_up, s, v
-from .engine import Certificate, PrimeFieldConfig, dimension
+from .engine import PrimeFieldConfig, dimension, status_matches
 from .schemes import FatPoint, FatPointScheme, PointSpec
 from .secant import is_defective, secant_dim, veronese_defective_rs
 from .spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
@@ -291,19 +291,6 @@ def write_bundle(path) -> None:
 
 
 # --- base-case runner ----------------------------------------------------
-
-
-def status_matches(expected: str, cert: Certificate) -> bool:
-    """A fixture passes when the certified dimension agrees with its
-    expected verdict.  At vdim = 0 the labels Regular and Zero coincide,
-    so matching is on the numbers, not the label string."""
-    if not cert.status.certified:
-        return False
-    if expected == "Regular":
-        return cert.virtual_dim >= 0 and cert.computed_dim == cert.virtual_dim
-    if expected == "Zero":
-        return cert.virtual_dim <= 0 and cert.computed_dim == 0
-    raise ValueError(f"unknown expected status {expected!r}")
 
 
 def _case_matches(case: BaseCase, pattern: str | None) -> bool:

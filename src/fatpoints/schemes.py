@@ -29,7 +29,7 @@ def conditions_of_fat_point(multiplicity: int, ambient_dim: int) -> int:
     N-dimensional variety: the partial derivatives of order < a."""
     if multiplicity < 1 or ambient_dim < 1:
         raise ValueError("multiplicity and ambient dimension must be >= 1")
-    return comb(multiplicity + ambient_dim - 1, ambient_dim)
+    return comb(ambient_dim + multiplicity - 1, ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -227,9 +227,3 @@ def virtual_dim(
     else:
         ncols = basis_size(space, degree)
     return ncols - scheme.conditions(space.ambient_dim())
-
-
-def expected_dim(
-    space: MultiProjectiveSpace, degree: Multidegree, scheme: FatPointScheme
-) -> int:
-    return max(0, virtual_dim(space, degree, scheme))

@@ -17,6 +17,7 @@ from .engine import (
     PrimeFieldConfig,
     dimension,
     dimensions,
+    status_matches,
 )
 from .schemes import make_scheme
 from .spaces import Multidegree, MultiProjectiveSpace, basis_size
@@ -110,9 +111,8 @@ class DefectivityReport:
     @property
     def certified_nondefective(self) -> bool:
         return (
-            self.low.status == DimensionVerdict.REGULAR
-            or (self.low.status == DimensionVerdict.ZERO and self.low.virtual_dim == 0)
-        ) and self.high.status == DimensionVerdict.ZERO
+            status_matches("Regular", self.low) and status_matches("Zero", self.high)
+        )
 
     @property
     def defective_evidence(self) -> list[int]:
@@ -184,9 +184,7 @@ class HypothesisReport:
             "gap_ok": self.gap_ok,
             "dim3": self.dim3,
             "dim4": self.dim4,
-            "per_r": {
-                str(r): dict(d, certificates=None) for r, d in self.per_r.items()
-            },
+            "per_r": {str(r): d for r, d in self.per_r.items()},
             "all_hold": self.all_hold,
         }
 
@@ -222,8 +220,7 @@ def theorem_hypotheses(
             "k": k,
             "residual_regular": res.status.certified,
             "residual_dim": res.computed_dim,
-            "quartic_zero": quart.status == DimensionVerdict.ZERO
-            and quart.computed_dim == 0,
+            "quartic_zero": status_matches("Zero", quart),
             "quartic_dim": quart.computed_dim,
         }
     return HypothesisReport(

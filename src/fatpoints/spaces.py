@@ -2,10 +2,12 @@
 
 A space P^{n_1} x ... x P^{n_k} carries one block of homogeneous coordinates
 per factor.  Forms of multidegree (d_1, ..., d_k) are spanned by monomials
-that have degree d_i in the i-th block.  The basis is ordered factor-major:
-the exponent tuple of the first factor varies slowest, and within a factor
-exponent tuples are listed lexicographically descending (so x_0^d comes
-first).  Every consumer of column indices relies on this order.
+that have degree d_i in the i-th block.  A monomial is its flat exponent
+tuple, one entry per coordinate with the factor blocks concatenated (block f
+starts at coord_offsets()[f]).  The basis is ordered factor-major: the
+exponents of the first factor vary slowest, and within a factor exponent
+tuples are listed lexicographically descending (so x_0^d comes first).
+Every consumer of column indices relies on this order.
 """
 from __future__ import annotations
 
@@ -78,19 +80,6 @@ class Multidegree:
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """Exponent tuples, one per factor."""
-
-    exponents: tuple[tuple[int, ...], ...]
-
-    def degree(self) -> tuple[int, ...]:
-        return tuple(sum(e) for e in self.exponents)
-
-    def flat(self) -> tuple[int, ...]:
-        return tuple(e for block in self.exponents for e in block)
-
-
-@dataclass(frozen=True)
 class CoordinateSubvariety:
     """Intersection of coordinate hyperplanes: one set of vanishing
     coordinate indices per factor (possibly empty for some factors)."""
@@ -136,21 +125,24 @@ def basis_size(space: MultiProjectiveSpace, degree: Multidegree) -> int:
     return prod(comb(n + d, n) for n, d in zip(space.factor_dims, degree.degrees))
 
 
-def monomial_basis(space: MultiProjectiveSpace, degree: Multidegree) -> list[Monomial]:
-    """All monomials of the given multidegree, in the canonical order."""
+def monomial_basis(
+    space: MultiProjectiveSpace, degree: Multidegree
+) -> list[tuple[int, ...]]:
+    """All monomials of the given multidegree, as flat exponent tuples, in
+    the canonical order."""
     degree.check(space)
     per_factor = [
         list(compositions(d, n + 1))
         for n, d in zip(space.factor_dims, degree.degrees)
     ]
-    return [Monomial(tuple(combo)) for combo in product(*per_factor)]
+    return [sum(combo, ()) for combo in product(*per_factor)]
 
 
 def ideal_basis(
     space: MultiProjectiveSpace,
     degree: Multidegree,
     contained: list[CoordinateSubvariety] | tuple[CoordinateSubvariety, ...] = (),
-) -> list[Monomial]:
+) -> list[tuple[int, ...]]:
     """Monomials of the given multidegree lying in the intersection of the
     ideals of the listed coordinate subvarieties.
 
@@ -158,14 +150,9 @@ def ideal_basis(
     least one of its vanishing coordinates.
     """
     basis = monomial_basis(space, degree)
+    offsets = space.coord_offsets()
     for sub in contained:
         sub.check(space)
-        basis = [
-            m for m in basis
-            if any(
-                m.exponents[f][i] > 0
-                for f, s in enumerate(sub.vanishing)
-                for i in s
-            )
-        ]
+        coords = [off + i for off, s in zip(offsets, sub.vanishing) for i in s]
+        basis = [m for m in basis if any(m[k] for k in coords)]
     return basis

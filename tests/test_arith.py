@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +17,12 @@ from fatpoints.arith import (
     r_up,
     s,
     v,
+    vdim_profile,
     verify_all,
     verify_lemma,
 )
+from fatpoints.schemes import make_scheme, virtual_dim
+from fatpoints.spaces import Multidegree, MultiProjectiveSpace
 
 
 def test_multi_binom():
@@ -83,6 +88,36 @@ def test_single_lemma_interface():
     assert verify_lemma("b-mod3", bound=60) == []
     with pytest.raises(KeyError):
         arith.get_lemma("no-such-lemma")
+
+
+@pytest.mark.parametrize("lemma_id,bound", [("b-mod3", 0), ("v-mod3", 3),
+                                            ("kdown44-vs-kup43", 3)])
+def test_empty_range_is_an_error(lemma_id, bound):
+    # a bound that reaches none of the lemma's cases checks nothing
+    with pytest.raises(ValueError, match=f"{lemma_id}.*bound {bound}"):
+        verify_lemma(lemma_id, bound)
+    with pytest.raises(ValueError):
+        verify_all(bound)
+    # from 4 on, every lemma has cases
+    assert verify_lemma(lemma_id, 4) == []
+
+
+_PROFILES = [[(1, 1)], [(2, 3)], [(3, 1), (2, 2)], [(4, 1), (2, 1), (1, 2)]]
+
+
+def test_vdim_profile_matches_schemes():
+    grid = itertools.product(range(1, 4), range(1, 4), range(5), range(5), _PROFILES)
+    for m, n, c, d, prof in grid:
+        space, degree = MultiProjectiveSpace((m, n)), Multidegree((c, d))
+        assert vdim_profile(c, d, m, n, prof) == virtual_dim(
+            space, degree, make_scheme(prof)
+        )
+    # the P^0 x P^n boundary case is degree d on a single P^n
+    for n, d, prof in itertools.product(range(1, 4), range(5), _PROFILES):
+        space, degree = MultiProjectiveSpace((n,)), Multidegree((d,))
+        assert vdim_profile(0, d, 0, n, prof) == virtual_dim(
+            space, degree, make_scheme(prof)
+        )
 
 
 @settings(max_examples=60, deadline=None)

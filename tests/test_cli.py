@@ -123,6 +123,18 @@ def test_verify_arith_cli(capsys):
     assert "up to 60" in out
 
 
+@pytest.mark.parametrize(
+    "argv", [("--bound", "0"), ("--lemma", "v-mod3", "--bound", "3")]
+)
+def test_verify_arith_empty_range_is_usage_error(capsys, argv):
+    # a bound that reaches none of a lemma's cases would pass vacuously
+    code, out, err = run_cli(capsys, "verify-arith", *argv)
+    assert code == 64 and out == ""
+    assert f"has no cases up to bound {argv[-1]}" in err
+    if "--lemma" in argv:
+        assert "'v-mod3'" in err
+
+
 def test_cache_record_is_one_write(tmp_path, monkeypatch):
     # a record above the 8 KiB buffer of a text-mode file, which that
     # file would hand to the kernel in more than one write(2)
@@ -169,12 +181,14 @@ def test_castelnuovo_cli(capsys):
     assert code == 0 and "holds" in out
 
 
-def test_on_divisor_overflow_is_usage_error(capsys):
-    code, _, err = run_cli(
-        capsys, "dim", "--space", "1x1", "--deg", "3,3", "--scheme", "2",
-        "--on-divisor", "0:0:5",
-    )
-    assert code == 64
+@pytest.mark.parametrize("spec", ["0:0:5", "0:0:0", "0:0:-3"])
+def test_on_divisor_overflow_is_usage_error(capsys, spec):
+    # more strata than points, or a COUNT below 1, which confines no point
+    system = ("--space", "1x1", "--deg", "3,3", "--scheme", "2", "--on-divisor", spec)
+    for argv in (("dim", *system), ("castelnuovo", *system, "--divisor", "0:0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err.startswith("fatpoints: ")
 
 
 def test_damaged_cache_line_is_skipped(tmp_path, capsys):

@@ -19,6 +19,7 @@ from fatpoints.engine import (
     exact_rank_oracle,
     rank_fp,
     rank_profile,
+    status_matches,
 )
 from fatpoints.schemes import (
     FatPoint,
@@ -247,6 +248,24 @@ def test_zero_label_at_vdim_zero():
     cert = dimension(sp, Multidegree((2, 3)), make_scheme("3,2^5"))
     assert cert.status == DimensionVerdict.ZERO
     assert cert.virtual_dim == 0
+    assert status_matches("Regular", cert) and status_matches("Zero", cert)
+
+
+def test_status_matches_on_the_numbers():
+    def cert(status, dim, vdim):
+        return Certificate(
+            DimensionVerdict(status), dim, vdim, max(0, vdim), 0, 0, 0, DEFAULT_PRIME, 0
+        )
+
+    assert status_matches("Regular", cert("Regular", 2, 2))
+    assert not status_matches("Zero", cert("Regular", 2, 2))
+    assert status_matches("Zero", cert("Zero", 0, -3))
+    assert not status_matches("Regular", cert("Zero", 0, -3))
+    # evidence is never a match, whatever the numbers
+    assert not status_matches("Regular", cert("SpecialCandidate", 3, 2))
+    assert not status_matches("Zero", cert("Inconclusive", 0, -1))
+    with pytest.raises(ValueError):
+        status_matches("SpecialCandidate", cert("Regular", 2, 2))
 
 
 def test_determinism():

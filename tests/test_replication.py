@@ -8,7 +8,6 @@ from fatpoints.replication import (
     reconcile_specializations,
     registry_to_json,
     run_basecases,
-    status_matches,
     verify_ah,
     verify_main_theorem,
 )

@@ -2,13 +2,13 @@ import json
 
 import pytest
 
+from fatpoints.engine import dimension
 from fatpoints.schemes import (
     FatPoint,
     FatPointScheme,
     JetCondition,
     PointSpec,
     conditions_of_fat_point,
-    expected_dim,
     make_scheme,
     parse_scheme_type,
     virtual_dim,
@@ -46,7 +46,8 @@ def test_virtual_dim_examples():
     assert virtual_dim(sp, Multidegree((3, 3)), make_scheme("3,2^3")) == 16 - 6 - 9
     sp2 = MultiProjectiveSpace((2, 1))
     assert virtual_dim(sp2, Multidegree((3, 3)), make_scheme("4,2^6")) == 40 - 20 - 24
-    assert expected_dim(sp2, Multidegree((3, 3)), make_scheme("4,2^6")) == 0
+    cert = dimension(sp2, Multidegree((3, 3)), make_scheme("4,2^6"))
+    assert cert.expected_dim == 0
 
 
 def test_virtual_dim_with_contained():

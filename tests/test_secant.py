@@ -174,6 +174,13 @@ def test_theorem_hypotheses_gap_condition():
     assert rep.per_r[5]["quartic_dim"] == 1
 
 
+def test_hypotheses_per_r_has_no_certificates_key():
+    rep = theorem_hypotheses(MultiProjectiveSpace((1, 1)), Multidegree((3, 3)))
+    per_r = rep.to_json()["per_r"]
+    assert set(per_r) == {"5", "6"}
+    assert all("certificates" not in entry for entry in per_r.values())
+
+
 def test_hypotheses_not_applicable_when_small():
     rep = theorem_hypotheses(MultiProjectiveSpace((1,)), Multidegree((2,)))
     assert not rep.big_enough

@@ -25,10 +25,11 @@ def test_basis_sizes():
 def test_monomial_basis_order():
     basis = monomial_basis(MultiProjectiveSpace((1, 1)), Multidegree((3, 3)))
     assert len(basis) == 16
-    # factor-major, descending lex within a factor: x0^3 y0^3 first
-    assert basis[0].exponents == ((3, 0), (3, 0))
-    assert basis[1].exponents == ((3, 0), (2, 1))
-    assert basis[-1].exponents == ((0, 3), (0, 3))
+    # factor-major, descending lex within a factor: x0^3 y0^3 first; each
+    # monomial is its flat exponent tuple (x0, x1, y0, y1)
+    assert basis[0] == (3, 0, 3, 0)
+    assert basis[1] == (3, 0, 2, 1)
+    assert basis[-1] == (0, 3, 0, 3)
     assert len(set(basis)) == 16
 
 
@@ -67,7 +68,8 @@ def test_ideal_basis_single_hyperplane():
     degree = Multidegree((1, 2))
     sub = CoordinateSubvariety((frozenset(), frozenset({0})))
     got = ideal_basis(space, degree, [sub])
-    assert all(m.exponents[1][0] > 0 for m in got)
+    y0 = space.coord_offsets()[1]
+    assert all(m[y0] > 0 for m in got)
     # complement count: monomials of degree 2 in y1, y2 only
     assert len(got) == basis_size(space, degree) - 2 * 3
 
@@ -101,7 +103,12 @@ def test_basis_size_matches_enumeration(dims, degs):
     assert len(basis) == prod(
         comb(n + d, n) for n, d in zip(dims, degree.degrees)
     )
-    assert all(m.degree() == degree.degrees for m in basis)
+    offsets = space.coord_offsets()
+    assert all(len(m) == space.total_coords() for m in basis)
+    assert all(
+        tuple(sum(m[o : o + n + 1]) for o, n in zip(offsets, dims)) == degree.degrees
+        for m in basis
+    )
 
 
 @settings(max_examples=30, deadline=None)
