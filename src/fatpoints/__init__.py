@@ -30,7 +30,6 @@ from .engine import (
 )
 from .replication import (
     BaseCase,
-    build_default_registry,
     load_bundled_registry,
     run_basecases,
     verify_ah,

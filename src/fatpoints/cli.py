@@ -354,7 +354,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_basecases)
 
     sp = sub.add_parser("verify-arith", help="check the arithmetic lemmas")
-    sp.add_argument("--lemma", default=None)
+    sp.add_argument("--lemma", default=None, choices=arith.lemma_ids(), metavar="LEMMA")
     sp.add_argument("--bound", type=int, default=40)
     _add_common(sp)
     sp.set_defaults(handler=_cmd_verify_arith)
@@ -378,6 +378,20 @@ def _usage(message) -> int:
     return EXIT_USAGE
 
 
+def _reply(args, doc: dict, text: str, code: int) -> int:
+    """Print a reply and return its exit code.  If the reader has closed
+    stdout (`| head`), drop the rest quietly; the code stays the verdict's."""
+    try:
+        print(json.dumps(doc, sort_keys=True, indent=2) if args.json else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # so that the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -398,11 +412,7 @@ def main(argv=None) -> int:
             return _usage(f"cannot read the cache file {args.cache}: {exc.strerror}")
         if rec is not None:
             cached_doc = dict(rec["result"], cached=True)
-            if args.json:
-                print(json.dumps(cached_doc, sort_keys=True, indent=2))
-            else:
-                print(rec["text"])
-            return rec["exit"]
+            return _reply(args, cached_doc, rec["text"], rec["exit"])
 
     try:
         doc, text, code = args.handler(args, config)
@@ -418,11 +428,7 @@ def main(argv=None) -> int:
             reason = exc.strerror or exc
             return _usage(f"cannot write the cache file {args.cache}: {reason}")
 
-    if args.json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        print(text)
-    return code
+    return _reply(args, doc, text, code)
 
 
 if __name__ == "__main__":

@@ -13,9 +13,7 @@ defective Veronese embeddings.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 
 from .arith import b, ell, j, k_down, k_up, s, v
 from .engine import PrimeFieldConfig, dimension, status_matches
@@ -41,27 +39,6 @@ class BaseCase:
     def degree(self) -> Multidegree:
         return Multidegree(self.degrees)
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.case_id,
-            "space": list(self.factor_dims),
-            "degree": list(self.degrees),
-            "expected_status": self.expected,
-            "scheme": self.scheme.to_json(),
-            "note": self.note,
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "BaseCase":
-        return BaseCase(
-            doc["id"],
-            tuple(doc["space"]),
-            tuple(doc["degree"]),
-            doc["expected_status"],
-            FatPointScheme.from_json(doc["scheme"]),
-            doc.get("note", ""),
-        )
-
 
 def _sub(nfac: int, factor: int, idxs) -> CoordinateSubvariety:
     return CoordinateSubvariety(
@@ -78,7 +55,9 @@ def _pts(*groups) -> list[FatPoint]:
     return out
 
 
-def build_default_registry() -> list[BaseCase]:
+def load_bundled_registry() -> list[BaseCase]:
+    """The fixture registry, built in code: each fixture is defined here and
+    nowhere else."""
     cases: list[BaseCase] = []
 
     def add(cid, dims, degs, expected, scheme, note):
@@ -267,27 +246,6 @@ def reconcile_specializations() -> list[str]:
                     f"n={n}: step {name} has {doubles} double points, expected {ref}"
                 )
     return flags
-
-
-# --- registry I/O -------------------------------------------------------
-
-
-def registry_to_json(cases: list[BaseCase]) -> dict:
-    return {"cases": [c.to_json() for c in cases]}
-
-
-def load_bundled_registry() -> list[BaseCase]:
-    text = (
-        resources.files("fatpoints").joinpath("data/basecases.json").read_text()
-    )
-    doc = json.loads(text)
-    return [BaseCase.from_json(cd) for cd in doc["cases"]]
-
-
-def write_bundle(path) -> None:
-    with open(path, "w") as fh:
-        json.dump(registry_to_json(build_default_registry()), fh, indent=2)
-        fh.write("\n")
 
 
 # --- base-case runner ----------------------------------------------------

@@ -120,55 +120,6 @@ class FatPointScheme:
                 runs.append((m, 1))
         return ",".join(f"{m}^{c}" if c > 1 else str(m) for m, c in runs)
 
-    # --- serialization -------------------------------------------------
-
-    def to_json(self) -> dict:
-        def point_doc(pt: FatPoint) -> dict:
-            doc: dict = {"mult": pt.multiplicity}
-            if pt.spec.stratum is not None:
-                doc["stratum"] = pt.spec.stratum.to_json()
-            if pt.spec.coords is not None:
-                doc["coords"] = [list(v) for v in pt.spec.coords]
-            return doc
-
-        doc = {"points": [point_doc(pt) for pt in self.points]}
-        if self.jets:
-            doc["jets"] = [
-                {
-                    "base": j.base_index,
-                    "order": j.order,
-                    **({"direction": list(j.direction)} if j.direction else {}),
-                }
-                for j in self.jets
-            ]
-        if self.contained:
-            doc["contained"] = [sub.to_json() for sub in self.contained]
-        return doc
-
-    @staticmethod
-    def from_json(doc: dict) -> "FatPointScheme":
-        points = []
-        for pd in doc.get("points", []):
-            stratum = None
-            if "stratum" in pd:
-                stratum = CoordinateSubvariety.from_json(pd["stratum"])
-            coords = None
-            if "coords" in pd:
-                coords = tuple(tuple(v) for v in pd["coords"])
-            points.append(FatPoint(pd["mult"], PointSpec(stratum, coords)))
-        jets = [
-            JetCondition(
-                jd["base"],
-                jd["order"],
-                tuple(jd["direction"]) if "direction" in jd else None,
-            )
-            for jd in doc.get("jets", [])
-        ]
-        contained = [
-            CoordinateSubvariety.from_json(sd) for sd in doc.get("contained", [])
-        ]
-        return FatPointScheme(points, jets, contained)
-
 
 _TYPE_TERM = re.compile(r"^(\d+)(?:\^(\d+))?$")
 

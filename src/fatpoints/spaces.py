@@ -101,13 +101,6 @@ class CoordinateSubvariety:
             if len(s) == n + 1:
                 raise ValueError(f"all coordinates of factor {f} vanish")
 
-    def to_json(self) -> list[list[int]]:
-        return [sorted(s) for s in self.vanishing]
-
-    @staticmethod
-    def from_json(data) -> "CoordinateSubvariety":
-        return CoordinateSubvariety(tuple(frozenset(s) for s in data))
-
 
 def compositions(total: int, parts: int):
     """All exponent tuples of length `parts` summing to `total`,

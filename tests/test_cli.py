@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,6 +124,32 @@ def test_verify_arith_cli(capsys):
     assert code == 0
     assert "0 counterexamples" in out
     assert "up to 60" in out
+
+
+def test_unknown_lemma_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify-arith", "--lemma", "no-such-lemma")
+    assert code == 64 and out == ""
+    assert "'no-such-lemma'" in err
+
+
+def test_closed_stdout_exits_with_the_verdict(tmp_path):
+    # a reader that is already gone, as with `| head -c1` or `| true`
+    env = dict(os.environ)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "fatpoints.cli", "dim", "--space", "1x1",
+            "--deg", "3,3", "--scheme", "3,2^3", "--cache", str(tmp_path / "c.jsonl")]
+    for _ in ("fresh reply", "cache hit"):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(argv, stdout=w, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(w)
+        assert proc.returncode == 0, proc.stderr
+        assert b"Traceback" not in proc.stderr
+    assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -347,7 +347,7 @@ def test_jet_row_matches_exact_oracle():
         mat = build_matrix(space, degree, scheme, prime=DEFAULT_PRIME, seed=0)
         assert rank_fp(mat.array, DEFAULT_PRIME) == exact_rank_oracle(
             space, degree, scheme
-        ), (space, degree, scheme.to_json())
+        ), (space, degree, scheme)
 
 
 def test_computed_dim_at_least_vdim():

@@ -1,12 +1,12 @@
 import dataclasses
+import hashlib
+import json
 
 from fatpoints.engine import ALTERNATE_PRIME, PrimeFieldConfig
 from fatpoints.replication import (
     BaseCase,
-    build_default_registry,
     load_bundled_registry,
     reconcile_specializations,
-    registry_to_json,
     run_basecases,
     verify_ah,
     verify_main_theorem,
@@ -14,14 +14,35 @@ from fatpoints.replication import (
 from fatpoints.schemes import FatPoint, virtual_dim
 
 
-def test_bundled_registry_matches_source():
-    built = registry_to_json(build_default_registry())
-    loaded = registry_to_json(load_bundled_registry())
-    assert built == loaded
+# SHA-256 of the canonical dump below.  Any change to a fixture changes it,
+# so update it only together with a fixture changed on purpose.
+REGISTRY_DIGEST = "15bea971a422c7094ffee440dec25056df90ac8810b7cca4fe391217dbd89c7c"
+
+
+def _vanishing(sub):
+    return [sorted(s) for s in sub.vanishing]
+
+
+def test_registry_matches_golden_digest():
+    dump = []
+    for c in load_bundled_registry():
+        # the dump leaves out pinned coordinates and jets, so none may exist
+        assert all(p.spec.coords is None for p in c.scheme.points), c.case_id
+        assert not c.scheme.jets, c.case_id
+        points = [
+            [p.multiplicity, None if p.spec.stratum is None else _vanishing(p.spec.stratum)]
+            for p in c.scheme.points
+        ]
+        contained = [_vanishing(sub) for sub in c.scheme.contained]
+        dump.append(
+            [c.case_id, list(c.factor_dims), list(c.degrees), c.expected, points, contained]
+        )
+    digest = hashlib.sha256(json.dumps(dump).encode()).hexdigest()
+    assert digest == REGISTRY_DIGEST
 
 
 def test_registry_size_and_coverage():
-    cases = build_default_registry()
+    cases = load_bundled_registry()
     assert len(cases) >= 20
     assert len({c.case_id for c in cases}) == len(cases)
     degrees = {c.degrees for c in cases}
@@ -30,7 +51,7 @@ def test_registry_size_and_coverage():
 
 
 def test_expected_status_consistent_with_vdim():
-    for c in build_default_registry():
+    for c in load_bundled_registry():
         vd = virtual_dim(c.space, c.degree, c.scheme)
         if c.expected == "Regular":
             assert vd >= 0, c.case_id
@@ -40,11 +61,6 @@ def test_expected_status_consistent_with_vdim():
 
 def test_specialization_tables_reconcile():
     assert reconcile_specializations() == []
-
-
-def test_case_json_roundtrip():
-    for c in build_default_registry()[:5]:
-        assert BaseCase.from_json(c.to_json()) == c
 
 
 def test_run_basecases_all_pass():
@@ -62,7 +78,7 @@ def test_filter_44():
 
 
 def test_corrupted_fixture_reported():
-    cases = build_default_registry()
+    cases = load_bundled_registry()
     case = next(c for c in cases if c.case_id == "33-1x1-triple")
     bad_scheme = dataclasses.replace(case.scheme)
     bad_scheme.points = [FatPoint(p.multiplicity + 1, p.spec) for p in case.scheme.points]

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from fatpoints.engine import dimension
@@ -80,21 +78,6 @@ def test_jet_validation():
     ok = FatPointScheme([FatPoint(3)], jets=[JetCondition(0, 3, (1, 2))])
     ok.check(sp)
     assert ok.conditions(2) == 6 + 1
-
-
-def test_json_roundtrip():
-    sub = CoordinateSubvariety((frozenset({0}), frozenset({1, 2})))
-    scheme = FatPointScheme(
-        [
-            FatPoint(3, PointSpec(stratum=sub)),
-            FatPoint(2, PointSpec(coords=((1, 2), (3, 4, 5)))),
-            FatPoint(2),
-        ],
-        jets=[JetCondition(0, 3, (1, 0, 2)), JetCondition(0, 2)],
-        contained=[sub],
-    )
-    again = FatPointScheme.from_json(json.loads(json.dumps(scheme.to_json())))
-    assert again == scheme
 
 
 def test_pinned_coords_validation():

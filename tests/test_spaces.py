@@ -84,7 +84,6 @@ def test_subvariety_validation():
         CoordinateSubvariety((frozenset(), frozenset({5}))).check(space)
     sub = CoordinateSubvariety((frozenset({0}), frozenset({1, 2})))
     sub.check(space)
-    assert CoordinateSubvariety.from_json(sub.to_json()) == sub
 
 
 @settings(max_examples=40, deadline=None)
