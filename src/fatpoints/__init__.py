@@ -50,6 +50,7 @@ from .secant import (
     critical_r,
     is_defective,
     secant_dim,
+    secant_dims,
     secant_expected_dim,
     theorem_hypotheses,
 )

@@ -35,8 +35,9 @@ Points are drawn in order from one seeded stream, so the rows of the first
 k points of a scheme are a row prefix of its matrix.  The row rank profile
 (the column rank profile of the transpose) gives the rank of every such
 prefix from one elimination: dimensions() certifies several point prefixes
-of one scheme with one matrix per attempt, and is_defective asks it for
-r_low and r_high at once.
+of one scheme with one matrix per attempt.  secant.secant_dims asks it for
+every r of one draw of double points (is_defective, secant_dim and verify_ah
+go through it), and theorem_hypotheses asks it once per fat-point head.
 """
 from __future__ import annotations
 

@@ -15,7 +15,6 @@ from .engine import (
     Certificate,
     DimensionVerdict,
     PrimeFieldConfig,
-    dimension,
     dimensions,
     status_matches,
 )
@@ -59,6 +58,30 @@ def secant_expected_dim(
     return min(L - 1, r * (N + 1) - 1)
 
 
+def secant_dims(
+    space: MultiProjectiveSpace,
+    degree: Multidegree,
+    rs: list[int],
+    config: PrimeFieldConfig | None = None,
+) -> list[SecantVerdict]:
+    """Dimension of the r-th secant variety via r general 2-fat points, for
+    each r in rs.  The r points are the first r of one draw of max(rs), so
+    one dimensions() call answers every r."""
+    if any(r < 1 for r in rs):
+        raise ValueError("r must be >= 1")
+    L = basis_size(space, degree)
+    scheme = make_scheme([(2, max(rs, default=0))])
+    verdicts = []
+    for r, cert in zip(rs, dimensions(space, degree, scheme, rs, config)):
+        actual = L - 1 - cert.computed_dim
+        exp = secant_expected_dim(space, degree, r)
+        defect = exp - actual
+        verdicts.append(
+            SecantVerdict(space, degree, r, exp, actual, defect, defect > 0, cert)
+        )
+    return verdicts
+
+
 def secant_dim(
     space: MultiProjectiveSpace,
     degree: Multidegree,
@@ -66,14 +89,7 @@ def secant_dim(
     config: PrimeFieldConfig | None = None,
 ) -> SecantVerdict:
     """Dimension of the r-th secant variety via r general 2-fat points."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    L = basis_size(space, degree)
-    cert = dimension(space, degree, make_scheme([(2, r)]), config)
-    actual = L - 1 - cert.computed_dim
-    exp = secant_expected_dim(space, degree, r)
-    defect = exp - actual
-    return SecantVerdict(space, degree, r, exp, actual, defect, defect > 0, cert)
+    return secant_dims(space, degree, [r], config)[0]
 
 
 def critical_r(space: MultiProjectiveSpace, degree: Multidegree) -> tuple[int, int]:
@@ -142,11 +158,10 @@ def is_defective(
     config: PrimeFieldConfig | None = None,
 ) -> DefectivityReport:
     r_low, r_high = critical_r(space, degree)
-    # the r_low points are the first r_low of the r_high draw: one matrix
-    low, high = dimensions(
-        space, degree, make_scheme([(2, r_high)]), [r_low, r_high], config
+    low, high = secant_dims(space, degree, [r_low, r_high], config)
+    return DefectivityReport(
+        space, degree, r_low, r_high, low.certificate, high.certificate
     )
-    return DefectivityReport(space, degree, r_low, r_high, low, high)
 
 
 @dataclass
@@ -199,8 +214,17 @@ def theorem_hypotheses(
     r_values = collision_r_values(space, degree)
 
     big_enough = L >= (N + 1) ** 2
-    cert3 = dimension(space, degree, make_scheme([(3, 1)]), config)
-    cert4 = dimension(space, degree, make_scheme([(4, 1)]), config)
+    # r = N + 1 + k points collide into one fat point plus k double points.
+    # The lone fat point is the 1-point prefix of each residual scheme, so
+    # one dimensions() call per fat multiplicity answers every count.
+    counts = sorted({1, *(r - N for r in r_values if r > N)})
+
+    def with_fat_head(mult: int) -> dict:
+        scheme = make_scheme([(mult, 1), (2, counts[-1] - 1)])
+        return dict(zip(counts, dimensions(space, degree, scheme, counts, config)))
+
+    residual, quartic = with_fat_head(3), with_fat_head(4)
+    cert3, cert4 = residual[1], quartic[1]
     gap_ok = cert3.computed_dim - cert4.computed_dim >= N * (N + 1) // 2
 
     per_r = {}
@@ -214,8 +238,7 @@ def theorem_hypotheses(
                 "note": "fewer than N+2 points; collision argument not applicable",
             }
             continue
-        res = dimension(space, degree, make_scheme([(3, 1), (2, k)]), config)
-        quart = dimension(space, degree, make_scheme([(4, 1), (2, k)]), config)
+        res, quart = residual[1 + k], quartic[1 + k]
         per_r[r] = {
             "k": k,
             "residual_regular": res.status.certified,

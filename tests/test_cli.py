@@ -191,6 +191,13 @@ def test_basecases_filter_cli(capsys):
     assert "4 fixtures, all pass" in out
 
 
+def test_basecases_filter_without_fixtures_is_usage_error(capsys):
+    # an empty replay would pass nothing and fail nothing
+    code, out, err = run_cli(capsys, "basecases", "--filter", "zz")
+    assert code == 64 and out == ""
+    assert "'zz'" in err
+
+
 def test_star_cli(capsys):
     code, out, _ = run_cli(capsys, "star", "--n", "3", "--json")
     assert code == 0

@@ -12,6 +12,8 @@ from fatpoints.replication import (
     verify_main_theorem,
 )
 from fatpoints.schemes import FatPoint, virtual_dim
+from fatpoints.secant import critical_r, secant_dims, veronese_defective_rs
+from fatpoints.spaces import Multidegree, MultiProjectiveSpace
 
 
 # SHA-256 of the canonical dump below.  Any change to a fixture changes it,
@@ -112,3 +114,15 @@ def test_verify_ah_examples():
     by_nd = {(e["n"], e["d"]): e for e in report["cases"]}
     assert by_nd[(2, 4)]["defects"] == {"5": 1}
     assert by_nd[(2, 3)]["certified_nondefective"]
+
+
+def test_verify_ah_builds_one_matrix_per_attempt(build_calls):
+    report = verify_ah(max_n=2, max_d=4)
+    built = len(build_calls)
+    attempts = 0
+    for case in report["cases"]:
+        space, degree = MultiProjectiveSpace((case["n"],)), Multidegree((case["d"],))
+        rs = [*critical_r(space, degree), *veronese_defective_rs(case["n"], case["d"])]
+        attempts += max(len(v.certificate.runs) for v in secant_dims(space, degree, rs))
+    # the critical counts and every defective r share one draw per attempt
+    assert built == attempts == 16

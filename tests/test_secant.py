@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from fatpoints import engine
 from fatpoints.arith import r_down, r_up
 from fatpoints.engine import (
     DimensionVerdict,
@@ -11,6 +10,7 @@ from fatpoints.engine import (
     dimension,
     dimensions,
     rank_fp,
+    status_matches,
 )
 from fatpoints.schemes import FatPointScheme, JetCondition, make_scheme
 from fatpoints.secant import (
@@ -18,6 +18,7 @@ from fatpoints.secant import (
     critical_r,
     is_defective,
     secant_dim,
+    secant_dims,
     secant_expected_dim,
     theorem_hypotheses,
     veronese_defective_rs,
@@ -95,32 +96,38 @@ def test_is_defective_matches_separate_eliminations(dims, degs, seed):
             assert dim == mat.cols - rank_fp(mat.array, p), (r, p, sd)
         assert cert.rows == mat.rows
         assert cert.to_json() == dimension(space, degree, scheme, config).to_json()
+    # r_low again, as a duplicate count, and a smaller r before it
+    rs = [rep.r_low, rep.r_high, 1, rep.r_low]
+    for verdict in secant_dims(space, degree, rs, config):
+        alone = secant_dim(space, degree, verdict.r, config)
+        assert verdict.to_json() == alone.to_json()
 
 
-def test_is_defective_builds_one_matrix_per_attempt(monkeypatch):
-    calls = []
-    real = engine.build_matrix
-
-    def counting(space, degree, scheme, **kwargs):
-        calls.append(len(scheme.points))
-        return real(space, degree, scheme, **kwargs)
-
-    monkeypatch.setattr(engine, "build_matrix", counting)
+def test_is_defective_builds_one_matrix_per_attempt(build_calls):
     retried = 0
     for dims, degs in _RETRY_HEAVY:
-        calls.clear()
+        build_calls.clear()
         rep = is_defective(MultiProjectiveSpace(dims), Multidegree(degs))
         attempts = max(len(rep.low.runs), len(rep.high.runs))
         # each attempt builds the points of the longest prefix still open
-        assert calls == [
+        assert build_calls == [
             rep.r_high if len(rep.high.runs) > a else rep.r_low
             for a in range(attempts)
         ]
         retried += attempts > 1
     assert retried
-    calls.clear()
+    build_calls.clear()
     is_defective(MultiProjectiveSpace((2,)), Multidegree((4,)))
-    assert calls == [6, 5, 5, 5]
+    assert build_calls == [6, 5, 5, 5]
+
+
+def test_secant_dims_builds_nothing_for_no_or_bad_counts(build_calls):
+    space, degree = MultiProjectiveSpace((2,)), Multidegree((4,))
+    assert secant_dims(space, degree, []) == []
+    for rs in ([0], [5, 0]):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            secant_dims(space, degree, rs)
+    assert build_calls == []
 
 
 def test_dimensions_rejects_prefixes_of_a_scheme_with_jets():
@@ -179,6 +186,37 @@ def test_hypotheses_per_r_has_no_certificates_key():
     per_r = rep.to_json()["per_r"]
     assert set(per_r) == {"5", "6"}
     assert all("certificates" not in entry for entry in per_r.values())
+
+
+_HYPOTHESIS_SYSTEMS = [((2, 1), (3, 3)), ((1, 2), (3, 4)), ((1, 1), (3, 3))]
+
+
+@pytest.mark.parametrize("dims,degs", _HYPOTHESIS_SYSTEMS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_theorem_hypotheses_matches_separate_eliminations(dims, degs, seed):
+    space, degree = MultiProjectiveSpace(dims), Multidegree(degs)
+    config = PrimeFieldConfig(seed=seed)
+
+    def alone(profile):
+        return dimension(space, degree, make_scheme(profile), config)
+
+    rep = theorem_hypotheses(space, degree, config)
+    assert rep.dim3 == alone([(3, 1)]).computed_dim
+    assert rep.dim4 == alone([(4, 1)]).computed_dim
+    for entry in rep.per_r.values():
+        res = alone([(3, 1), (2, entry["k"])])
+        quart = alone([(4, 1), (2, entry["k"])])
+        assert entry["residual_regular"] == res.status.certified
+        assert entry["residual_dim"] == res.computed_dim
+        assert entry["quartic_zero"] == status_matches("Zero", quart)
+        assert entry["quartic_dim"] == quart.computed_dim
+
+
+def test_theorem_hypotheses_builds_one_matrix_per_head(build_calls):
+    rep = theorem_hypotheses(MultiProjectiveSpace((2, 1)), Multidegree((3, 3)))
+    # a 3-fat head, then a 4-fat head, each before k = 6 double points
+    assert rep.per_r[10]["k"] == 6
+    assert build_calls == [7, 7]
 
 
 def test_hypotheses_not_applicable_when_small():
