@@ -268,10 +268,12 @@ def _cache_lookup(path: str, key: str):
     except FileNotFoundError:
         return None
     hit = None
+    needle = key.encode()
     with fh:
         for line in fh:
-            line = line.strip()
-            if not line:
+            # every record _cache_append writes holds its key verbatim, so
+            # only a line that contains it can be a hit
+            if needle not in line:
                 continue
             try:
                 rec = json.loads(line)

@@ -23,13 +23,14 @@ coordinate k of each basis monomial at the point q.
 The elimination (rank_profile) returns the column rank profile over F_p,
 the pivot columns in order; rank_fp is its length.  It is exact for every
 prime p < 2^31.  Matrices of more than four panels of 32 columns are
-eliminated blockwise: each panel is reduced by a row-operation loop in
-int64, and the rows below it are updated by one float64 (BLAS) matrix
-product per chunk of rows.  The right factor of that product is split into
-16-bit limbs, so with at most 32 inner terms every entry stays below 2^53
-and the product is exact.  Updated entries are reduced mod p only when a
-panel reads them, and in full every eight panels.  Narrower matrices use
-the loop alone.
+eliminated blockwise: each panel's pivots are found by a row-operation
+loop in int64 (one slice update per pivot) on the panel's leading rows,
+doubling them until every column has a pivot, and the rows below are
+updated by one float64 (BLAS) matrix product per chunk of rows.  The right
+factor of that product is split into 16-bit limbs, so with at most 32
+inner terms every entry stays below 2^53 and the product is exact.
+Updated entries are reduced mod p only when a panel reads them, and in
+full every eight panels.  Narrower matrices use the loop alone.
 
 Points are drawn in order from one seeded stream, so the rows of the first
 k points of a scheme are a row prefix of its matrix.  The row rank profile
@@ -343,14 +344,15 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
 
     Entries are reduced mod p; the input, of any memory layout, is not
     modified.  Matrices wider than _NARROW columns are eliminated in panels
-    of _PANEL columns: the panel is reduced by the unblocked loop, its pivot
-    rows are solved so their pivot columns form the identity (U12 is their
-    trailing part), and the other rows, whose entries in the pivot columns
-    are X, get the trailing update A22 += X (-U12), one float64 matrix
-    product on 16-bit limbs per chunk of _CHUNK rows (see _mulmod).  A22 is
-    reduced mod p only where it is read next, and in full every _DELAY
-    panels.  The last _NARROW columns, and narrow matrices, use the
-    unblocked loop alone.
+    of _PANEL columns: the panel's pivots and row swaps are found by the
+    unblocked loop on its leading rows (_panel_pivots) and the swaps are
+    applied to the matrix, its pivot rows are solved so their pivot columns
+    form the identity (U12 is their trailing part), and the other rows,
+    whose entries in the pivot columns are X, get the trailing update
+    A22 += X (-U12), one float64 matrix product on 16-bit limbs per chunk of
+    _CHUNK rows (see _mulmod).  A22 is reduced mod p only where it is read
+    next, and in full every _DELAY panels.  The last _NARROW columns, and
+    narrow matrices, use the unblocked loop alone.
     """
     if not 2 <= p < 2**31:
         raise ValueError(f"rank_profile needs 2 <= p < 2^31, got {p}")
@@ -365,7 +367,7 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
         if c // _PANEL % _DELAY == _DELAY - 1:
             A[r:, c1:] %= p
         A[r:, c:c1] %= p
-        pivots, swaps = _echelon(A[r:, c:c1].copy(), p)
+        pivots, swaps = _panel_pivots(A[r:, c:c1], p)
         for i, j in swaps:
             A[[r + i, r + j], c:] = A[[r + j, r + i], c:]
         J = [c + j for j in pivots]
@@ -402,12 +404,26 @@ def _echelon(A: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
             swaps.append((r, piv))
         inv = pow(int(A[r, c]), -1, p)
         A[r, c:] = A[r, c:] * inv % p
-        tail = r + 1 + np.nonzero(A[r + 1:, c])[0]
-        if tail.size:
-            A[tail, c:] = (A[tail, c:] - A[tail, c, None] * A[r, c:][None, :]) % p
+        # a row with 0 in column c gets x - 0 * u = x, already in [0, p)
+        A[r + 1:, c:] = (A[r + 1:, c:] - A[r + 1:, c, None] * A[r, c:]) % p
         pivots.append(c)
         r += 1
     return pivots, swaps
+
+
+def _panel_pivots(P: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The pivots and row swaps of _echelon(P.copy(), p), found from the
+    leading b rows of P, b = _PANEL, 2 _PANEL, 4 _PANEL, ..., up to the first
+    b where every column has a pivot or that covers P.  That is exact: a
+    row of P[:b] is reduced only by pivot rows inside P[:b], so _echelon
+    makes the same choices on P[:b] as on P until a column finds no pivot
+    there, and a full set of pivots leaves no column to decide further down."""
+    b = _PANEL
+    while True:
+        pivots, swaps = _echelon(P[:b].copy(), p)
+        if len(pivots) == P.shape[1] or b >= len(P):
+            return pivots, swaps
+        b *= 2
 
 
 def _inverse(M: np.ndarray, p: int) -> np.ndarray:

@@ -185,6 +185,35 @@ def test_cache_record_is_one_write(tmp_path, monkeypatch):
     assert cache.read_text().count("\n") == 2
 
 
+def test_cache_lookup_parses_only_lines_with_the_key(tmp_path):
+    key, other = "ab" * 32, "cd" * 32
+    cache = tmp_path / "cache.jsonl"
+
+    def record(k, text, code=0):
+        return {"key": k, "result": {"exit": code}, "text": text, "exit": code}
+
+    cli._cache_append(str(cache), record(other, "unrelated"))
+    cli._cache_append(str(cache), record(other, f"mentions {key}"))
+    # lines that hold the key but are cut short, not UTF-8, not an object,
+    # or an object that lacks a record's fields; and an empty line
+    with open(cache, "ab") as fh:
+        for damaged in (
+            b'{"key": "%s", "resu' % key.encode(),
+            b'{"key": "%s\xff"}' % key.encode(),
+            b'["%s"]' % key.encode(),
+            json.dumps({"key": key, "exit": 0}).encode(),
+            b"",
+        ):
+            fh.write(damaged + b"\n")
+    assert cli._cache_lookup(str(cache), key) is None
+    # the last record for a key wins
+    cli._cache_append(str(cache), record(key, "first"))
+    cli._cache_append(str(cache), record(other, "later"))
+    cli._cache_append(str(cache), record(key, "second", 2))
+    assert cli._cache_lookup(str(cache), key) == record(key, "second", 2)
+    assert cli._cache_lookup(str(cache), other) == record(other, "later")
+
+
 def test_basecases_filter_cli(capsys):
     code, out, _ = run_cli(capsys, "basecases", "--filter", "4,4")
     assert code == 0

@@ -12,6 +12,8 @@ from fatpoints.engine import (
     PrimeFieldConfig,
     _NARROW,
     _PANEL,
+    _echelon,
+    _panel_pivots,
     build_matrix,
     dimension,
     dimensions,
@@ -117,17 +119,36 @@ def test_rank_fp_exact_at_the_limb_bound(p):
     assert rank_fp(np.vstack([top, rest]), p) == b
 
 
-def _planted_profile_matrix(rng, m, n, k, p):
+def _unit_lower(rng, m, k, p):
+    """A row permutation of a random unit lower triangular m x k matrix."""
+    L = np.tril(rng.integers(0, p, (m, k)), -1)
+    L[np.arange(k), np.arange(k)] = 1
+    return L[rng.permutation(m)]
+
+
+def _planted_profile_matrix(rng, m, n, k, p, low=0):
     """(M, profile): M = L R mod p, an m x n matrix whose column rank profile
     is a random k-subset of the columns.  The planted columns are the
     columns of L, a row permutation of a unit lower triangular m x k matrix,
     so they are independent; every other column j is L R[:, j], a random
     combination of the planted columns left of j (R[i, j] = 0 when planted
-    column i lies right of j)."""
-    profile = np.sort(rng.choice(n, k, replace=False))
-    L = np.tril(rng.integers(0, p, (m, k)), -1)
-    L[np.arange(k), np.arange(k)] = 1
-    L = L[rng.permutation(m)]
+    column i lies right of j).
+
+    With low > 0, exactly low planted columns lie in the first _PANEL
+    columns, and M is zero there above its last low rows: L is then
+    [[0, L'], [I, X]], with L' as above and X random."""
+    if low:
+        profile = np.sort(np.concatenate([
+            rng.choice(_PANEL, low, replace=False),
+            _PANEL + rng.choice(n - _PANEL, k - low, replace=False),
+        ]))
+        L = np.zeros((m, k), dtype=np.int64)
+        L[: m - low, low:] = _unit_lower(rng, m - low, k - low, p)
+        L[m - low :, :low] = np.eye(low, dtype=np.int64)
+        L[m - low :, low:] = rng.integers(0, p, (low, k - low))
+    else:
+        profile = np.sort(rng.choice(n, k, replace=False))
+        L = _unit_lower(rng, m, k, p)
     R = rng.integers(0, p, (k, n))
     for j in range(n):
         R[np.searchsorted(profile, j, side="right"):, j] = 0
@@ -139,17 +160,19 @@ def _planted_profile_matrix(rng, m, n, k, p):
 def test_rank_profile_planted(p):
     rng = np.random.default_rng(p % 997)
     cases = [
-        (m, n, k)
+        (m, n, k, 0)
         for n in (31, 33, 127, 129, 161, 193)
         for m in (n // 2, n + 9)
         for k in sorted({min(m, n), min(m, n) // 3})
     ]
-    cases.append((300, 600, 290))
-    for m, n, k in cases:
-        M, planted = _planted_profile_matrix(rng, m, n, k, p)
+    # in the last case the first panel's pivots lie in its last 5 of 300
+    # rows, below every block of leading rows but the whole panel
+    cases += [(300, 600, 290, 0), (300, 193, 150, 5)]
+    for m, n, k, low in cases:
+        M, planted = _planted_profile_matrix(rng, m, n, k, p, low)
         before = M.copy()
         profile = rank_profile(M, p)
-        assert profile == planted, (p, m, n, k)
+        assert profile == planted, (p, m, n, k, low)
         assert rank_fp(M, p) == len(profile) == k
         assert np.array_equal(M, before)
         # A = M^T has the planted columns as its row rank profile, read off
@@ -162,6 +185,31 @@ def test_rank_profile_planted(p):
         assert all(0 <= b - a <= 1 for a, b in zip(prefix, prefix[1:]))
 
 
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 101, 2])
+def test_panel_pivots_match_echelon(p):
+    # panels of 300 rows whose pivots are decided below row 32, 64 or 256,
+    # or in the last row alone, so every block of leading rows but the
+    # whole panel misses some; a zero panel; rank-deficient panels, dense
+    # or with three zero columns
+    rng = np.random.default_rng(p % 991)
+    m = 300
+    panels = []
+    for top in (_PANEL, 2 * _PANEL, 8 * _PANEL):
+        P = np.zeros((m, _PANEL), dtype=np.int64)
+        P[top:] = rng.integers(0, p, (m - top, _PANEL))
+        panels.append(P)
+    P = np.zeros((m, _PANEL), dtype=np.int64)
+    P[-1] = rng.integers(1, p, _PANEL)
+    panels += [P, np.zeros((m, _PANEL), dtype=np.int64)]
+    for k in (1, _PANEL - 3):
+        Y = rng.integers(0, p, (k, _PANEL))
+        Y[:, [0, 7, _PANEL - 1]] = 0
+        panels.append(_mulmod_int64(rng.integers(0, p, (m, k)), Y, p))
+    panels.append(rng.integers(0, p, (m, _PANEL)))
+    for P in panels:
+        before = P.copy()
+        assert _panel_pivots(P, p) == _echelon(P.copy(), p)
+        assert np.array_equal(P, before)
 def test_prefix_ranks_match_exact_oracle():
     # the systems of test_prime_field_rank_matches_exact_oracle: the rank of
     # every point prefix, read off one row rank profile of the whole matrix
