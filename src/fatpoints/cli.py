@@ -84,7 +84,7 @@ def _strata_from_flags(space, on_divisor: list[str] | None):
 
 
 def _config(args) -> PrimeFieldConfig:
-    return PrimeFieldConfig(prime=args.prime, seed=args.seed, retries=args.retries)
+    return PrimeFieldConfig(prime=args.prime, seed=args.seed)
 
 
 def _status_exit(status: DimensionVerdict) -> int:
@@ -186,12 +186,9 @@ def _cmd_basecases(args, config):
 
 def _cmd_verify_arith(args, config):
     if args.lemma:
-        ids = [args.lemma]
+        results = {args.lemma: arith.verify_lemma(args.lemma, args.bound)}
     else:
-        ids = arith.lemma_ids()
-    results = {}
-    for lid in ids:
-        results[lid] = arith.verify_lemma(lid, bound=args.bound)
+        results = arith.verify_all(args.bound)
     total = sum(len(v) for v in results.values())
     doc = {
         "bound": args.bound,
@@ -201,7 +198,7 @@ def _cmd_verify_arith(args, config):
         },
         "total_counterexamples": total,
     }
-    text = f"{len(ids)} lemma(s) checked up to {args.bound}: {total} counterexamples"
+    text = f"{len(results)} lemma(s) checked up to {args.bound}: {total} counterexamples"
     for lid, ces in results.items():
         if ces:
             text += f"\n  {lid}: {ces[:5]}"
@@ -211,7 +208,7 @@ def _cmd_verify_arith(args, config):
 def _cmd_star(args, config):
     star = star_configuration(args.n, config.prime, config.seed)
     span_ok = star_span_check(star)
-    certs = star_nonspeciality_check(args.n, config)
+    certs = star_nonspeciality_check(star, config)
     ok = span_ok and all(c.status.certified for c in certs.values())
     doc = {
         "n": args.n,
@@ -250,14 +247,12 @@ def _cmd_castelnuovo(args, config):
 # --- cache ---------------------------------------------------------------
 
 
-def _request_key(args, config: PrimeFieldConfig) -> str:
-    skip = {"handler", "json", "cache", "prime", "seed", "retries"}
-    payload = {k: v for k, v in vars(args).items() if k not in skip}
+def _request_key(args) -> str:
+    payload = {
+        k: v for k, v in vars(args).items() if k not in ("handler", "json", "cache")
+    }
     # the version keeps records of another engine version from being replayed
-    payload.update(
-        prime=config.prime, seed=config.seed, retries=config.retries,
-        version=__version__,
-    )
+    payload["version"] = __version__
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -308,7 +303,6 @@ def _cache_append(path: str, rec: dict):
 def _add_common(sp):
     sp.add_argument("--prime", type=int, default=PrimeFieldConfig.prime)
     sp.add_argument("--seed", type=int, default=PrimeFieldConfig.seed)
-    sp.add_argument("--retries", type=int, default=PrimeFieldConfig.retries)
     sp.add_argument("--json", action="store_true", help="emit a JSON report")
     sp.add_argument("--cache", metavar="PATH", help="JSONL result cache")
 
@@ -406,7 +400,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _usage(exc)
 
-    key = _request_key(args, config)
+    key = _request_key(args)
     if args.cache:
         try:
             rec = _cache_lookup(args.cache, key)

@@ -20,6 +20,7 @@ from .engine import (
     PrimeFieldConfig,
     dimension,
     draw_scheme_points,
+    rank_fp,
 )
 from .schemes import (
     FatPoint,
@@ -46,6 +47,7 @@ class DivisorSpec:
             raise ValueError("divisor coordinate out of range")
 
     def as_subvariety(self, space: MultiProjectiveSpace) -> CoordinateSubvariety:
+        self.check(space)
         van = [frozenset()] * space.num_factors
         van[self.factor] = frozenset({self.index})
         return CoordinateSubvariety(tuple(van))
@@ -251,7 +253,6 @@ class StarConfiguration:
 
     n: int
     prime: int
-    anchors: list[tuple[int, ...]]
     hyperplane: tuple[int, ...]
     points: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
 
@@ -280,7 +281,7 @@ def star_configuration(n: int, prime: int, seed: int) -> StarConfiguration:
             break
     else:
         raise RuntimeError("could not draw anchors off the hyperplane")
-    star = StarConfiguration(n, prime, anchors, e)
+    star = StarConfiguration(n, prime, e)
     for i, j in combinations(range(n + 1), 2):
         # the line through anchors i, j meets {e.x = 0} at
         # (e.p_j) p_i - (e.p_i) p_j
@@ -297,9 +298,6 @@ def star_configuration(n: int, prime: int, seed: int) -> StarConfiguration:
 def star_span_check(star: StarConfiguration) -> bool:
     """Every subset I of anchors with |I| = s >= 3 gives points t_ij,
     i,j in I, spanning at most a P^{s-2}."""
-    from .engine import rank_fp
-    import numpy as np
-
     n1 = star.n + 1
     for size in range(3, n1 + 1):
         for subset in combinations(range(n1), size):
@@ -307,21 +305,26 @@ def star_span_check(star: StarConfiguration) -> bool:
                 star.points[(i, j)]
                 for i, j in combinations(subset, 2)
             ]
-            if rank_fp(np.array(rows, dtype=np.int64), star.prime) > size - 1:
+            if rank_fp(rows, star.prime) > size - 1:
                 return False
     return True
 
 
 def star_nonspeciality_check(
-    n: int, config: PrimeFieldConfig | None = None
+    star: StarConfiguration, config: PrimeFieldConfig | None = None
 ) -> dict[str, Certificate]:
     """The star points T on the hyperplane P^{n-1} behave like general
     points for quadrics through T, cubics through T and cubics doubled
-    along T.  Verified by pinning the star points into the engine."""
-    config = config or PrimeFieldConfig()
-    star = star_configuration(n, config.prime, config.seed)
+    along T.  Verified by pinning the star points into the engine at
+    star.prime; the config gives the seed, and a config at another prime
+    is an error."""
+    config = config or PrimeFieldConfig(prime=star.prime)
+    if config.prime != star.prime:
+        raise ValueError(
+            f"the star is drawn over F_{star.prime}, the config is at {config.prime}"
+        )
     pts = star.embedded_points()
-    space = MultiProjectiveSpace((n - 1,))
+    space = MultiProjectiveSpace((star.n - 1,))
     out = {}
     for name, deg, mult in (
         ("quadrics-simple", 2, 1),

@@ -8,9 +8,9 @@ turn is at least max(0, virtual dimension).  Hence:
 
 * computed == expected  certifies the system (status Regular or Zero);
 * computed > expected   is only evidence of speciality (SpecialCandidate),
-  reported after retrying with fresh points and an alternate prime
-  (ALTERNATE_PRIME, or DEFAULT_PRIME when the configured prime is
-  ALTERNATE_PRIME).
+  reported after RETRIES attempts with fresh points and one at an
+  alternate prime (ALTERNATE_PRIME, or DEFAULT_PRIME when the configured
+  prime is ALTERNATE_PRIME).
 
 Rows of the matrix are partial derivatives d^beta of order < a per fat point
 (in the affine chart where the first nonvanishing coordinate of each factor
@@ -56,6 +56,7 @@ from .spaces import Multidegree, MultiProjectiveSpace, compositions, ideal_basis
 
 DEFAULT_PRIME = 2147483647
 ALTERNATE_PRIME = 2147483629
+RETRIES = 2  # fresh seeds at the configured prime before the alternate one
 MAX_COLUMNS = 4096
 
 
@@ -84,13 +85,10 @@ def _is_prime(n: int) -> bool:
 class PrimeFieldConfig:
     prime: int = DEFAULT_PRIME
     seed: int = 0
-    retries: int = 2
 
     def __post_init__(self):
         if not (2 <= self.prime < 2**31 and _is_prime(self.prime)):
             raise ValueError(f"prime must be a prime below 2^31, got {self.prime}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
 
     def child_seed(self, attempt: int) -> int:
         return (self.seed * 1000003 + attempt) % 2**63
@@ -506,9 +504,7 @@ def dimensions(
     rows = [sub.conditions(N) for sub in subs]
 
     attempts = [(config.prime, config.seed)]
-    attempts += [
-        (config.prime, config.child_seed(i)) for i in range(1, config.retries + 1)
-    ]
+    attempts += [(config.prime, config.child_seed(i)) for i in range(1, RETRIES + 1)]
     # the last attempt changes the prime as well as the points
     alternate = DEFAULT_PRIME if config.prime == ALTERNATE_PRIME else ALTERNATE_PRIME
     attempts.append((alternate, config.seed))

@@ -144,7 +144,6 @@ def parse_scheme_type(text: str) -> list[tuple[int, int]]:
 def make_scheme(
     profile: str | list[tuple[int, int]],
     strata: list[CoordinateSubvariety | None] | None = None,
-    contained: list[CoordinateSubvariety] | None = None,
 ) -> FatPointScheme:
     """Build a scheme of general points from a multiplicity profile.
 
@@ -165,7 +164,7 @@ def make_scheme(
             else pt
             for i, pt in enumerate(points)
         ]
-    return FatPointScheme(points, contained=list(contained or []))
+    return FatPointScheme(points)
 
 
 def virtual_dim(

@@ -246,10 +246,11 @@ def test_castelnuovo_cli(capsys):
     assert code == 0 and "holds" in out
 
 
-@pytest.mark.parametrize("spec", ["0:0:5", "0:0:0", "0:0:-3"])
+@pytest.mark.parametrize("spec", ["0:0:5", "0:0:0", "0:0:-3", "5:0:1", "-1:0:1"])
 def test_on_divisor_overflow_is_usage_error(capsys, spec):
-    # more strata than points, or a COUNT below 1, which confines no point
-    system = ("--space", "1x1", "--deg", "3,3", "--scheme", "2", "--on-divisor", spec)
+    # more strata than points, a COUNT below 1, which confines no point, or
+    # a FACTOR that the space does not have
+    system = ("--space", "1x1", "--deg", "3,3", "--scheme", "2", f"--on-divisor={spec}")
     for argv in (("dim", *system), ("castelnuovo", *system, "--divisor", "0:0")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 64 and out == ""
@@ -287,9 +288,17 @@ def test_unusable_cache_path_is_usage_error(tmp_path, capsys):
         assert str(path) in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag,value", [("--prime", "1000"), ("--retries", "-3")])
+@pytest.mark.parametrize("flag,value", [("--prime", "1000")])
 def test_bad_field_settings_exit64(capsys, flag, value):
     code, _, err = run_cli(capsys, "dim", "--space", "1x1", "--deg", "3,3",
                            "--scheme", "3,2^3", flag, value)
     assert code == 64
     assert value in err
+
+
+def test_retries_is_not_an_option(capsys):
+    # the attempt schedule is fixed (engine.RETRIES)
+    code, out, err = run_cli(capsys, "dim", "--space", "1x1", "--deg", "3,3",
+                             "--scheme", "2", "--retries", "2")
+    assert code == 64 and out == ""
+    assert "unrecognized arguments: --retries 2" in err

@@ -16,7 +16,12 @@ from fatpoints.degeneration import (
     trace,
     vdim_additivity_check,
 )
-from fatpoints.engine import DEFAULT_PRIME, PrimeFieldConfig, dimension
+from fatpoints.engine import (
+    ALTERNATE_PRIME,
+    DEFAULT_PRIME,
+    PrimeFieldConfig,
+    dimension,
+)
 from fatpoints.schemes import make_scheme, virtual_dim
 from fatpoints.spaces import Multidegree, MultiProjectiveSpace
 
@@ -108,7 +113,7 @@ def test_star_points_impose_independent_conditions():
     from math import comb
 
     for n in (2, 3, 4, 5):
-        certs = star_nonspeciality_check(n)
+        certs = star_nonspeciality_check(star_configuration(n, DEFAULT_PRIME, 0))
         for name, cert in certs.items():
             assert cert.status.certified, (n, name)
         # quadrics on P^{n-1} through the binom(n+1,2) star points: as many
@@ -118,6 +123,12 @@ def test_star_points_impose_independent_conditions():
         assert certs["cubics-simple"].computed_dim == comb(n + 2, 3) - comb(n + 1, 2)
         # cubics doubled along them: zero
         assert certs["cubics-double"].computed_dim == 0
+
+
+def test_star_check_certifies_at_the_star_prime():
+    star = star_configuration(3, DEFAULT_PRIME, 0)
+    with pytest.raises(ValueError, match="drawn over"):
+        star_nonspeciality_check(star, PrimeFieldConfig(prime=ALTERNATE_PRIME))
 
 
 def test_collision_conditions_count():

@@ -53,7 +53,9 @@ def test_virtual_dim_with_contained():
     sp = MultiProjectiveSpace((1, 2))
     sub = CoordinateSubvariety((frozenset(), frozenset({0})))
     free = virtual_dim(sp, Multidegree((1, 2)), make_scheme("2"))
-    tied = virtual_dim(sp, Multidegree((1, 2)), make_scheme("2", contained=[sub]))
+    tied = virtual_dim(
+        sp, Multidegree((1, 2)), FatPointScheme(make_scheme("2").points, contained=[sub])
+    )
     assert free - tied == 2 * 3  # monomials missing y0
 
 
