@@ -60,5 +60,6 @@ from .spaces import (
     MultiProjectiveSpace,
     basis_size,
     ideal_basis,
+    ideal_basis_size,
     monomial_basis,
 )

@@ -16,9 +16,13 @@ Rows of the matrix are partial derivatives d^beta of order < a per fat point
 (in the affine chart where the first nonvanishing coordinate of each factor
 is normalized to 1), plus one row per jet condition of order kappa along a
 direction t: sum over |beta| = kappa of (t^beta / beta!) d^beta at its base
-point.  Both kinds of row are products of entries of one per-point table,
-T[k, b] = ff(e_k, b) * q_k^(e_k - b), the order-b derivative in the affine
-coordinate k of each basis monomial at the point q.
+point.  A monomial x^e is a product of factor monomials and beta splits
+into one part beta_f per factor, so d^beta x^e (q) is the product over the
+factors f of D_f[q, beta_f, e_f]: the rows of a point are Kronecker
+products of rows of per-factor tables, each in the point's own chart.
+build_matrix makes the tables of the points of one multiplicity, _CHUNK
+rows' worth at a time, over the orders they need and the factor monomials
+the kept columns use.
 
 The elimination (rank_profile) returns the column rank profile over F_p,
 the pivot columns in order; rank_fp is its length.  It is exact for every
@@ -47,12 +51,13 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, perm, prod
 
 import numpy as np
 
-from .schemes import FatPointScheme, virtual_dim
-from .spaces import Multidegree, MultiProjectiveSpace, compositions, ideal_basis
+from .schemes import FatPointScheme, conditions_of_fat_point, virtual_dim
+from .spaces import Multidegree, MultiProjectiveSpace, compositions
+from .spaces import ideal_basis, ideal_basis_size
 
 DEFAULT_PRIME = 2147483647
 ALTERNATE_PRIME = 2147483629
@@ -181,7 +186,7 @@ def draw_scheme_points(
     affine direction vector.
     """
     rng = random.Random(seed)
-    counts = space.coord_counts()
+    counts, offs = space.coord_counts(), space.coord_offsets()
     points, charts = [], []
     for pt in scheme.points:
         vecs = []
@@ -205,7 +210,6 @@ def draw_scheme_points(
             norm.append(nv)
             chs.append(ch)
         points.append(tuple(x for v in norm for x in v))
-        offs = space.coord_offsets()
         charts.append(tuple(offs[f] + ch for f, ch in enumerate(chs)))
     n_aff = space.ambient_dim()
     directions = []
@@ -249,78 +253,100 @@ def build_matrix(
     maxdeg = max(degree.degrees, default=0)
     if p <= maxdeg:
         raise ValueError("prime must exceed the maximum factor degree")
-
-    basis = ideal_basis(space, degree, scheme.contained)
-    ncols = len(basis)
+    ncols = ideal_basis_size(space, degree, scheme.contained)
     if ncols > MAX_COLUMNS:
         raise ValueError(f"{ncols} columns exceeds the {MAX_COLUMNS} column limit")
 
-    C = space.total_coords()
-    E = np.array(basis, dtype=np.int64).reshape(ncols, C).T
+    # per factor, the factor monomials that the kept columns use, in basis
+    # order: the columns are their product, or `take` of it where contained
+    # subvarieties drop columns
+    offs, counts = space.coord_offsets(), space.coord_counts()
+    monos = [list(compositions(d, c)) for c, d in zip(counts, degree.degrees)]
+    take = None
+    if scheme.contained:
+        basis = ideal_basis(space, degree, scheme.contained)
+        parts = [[m[off : off + c] for m in basis] for off, c in zip(offs, counts)]
+        monos = [sorted(set(ps), reverse=True) for ps in parts]
+        if prod(map(len, monos)) > ncols:
+            at = [{m: j for j, m in enumerate(ms)} for ms in monos]
+            index = [[a[m] for m in ps] for a, ps in zip(at, parts)]
+            take = np.ravel_multi_index(index, [len(ms) for ms in monos])
+    monos = [np.array(ms, dtype=np.int64).reshape(len(ms), c) for ms, c in zip(monos, counts)]
+
+    N = space.ambient_dim()
     points, charts, directions = draw_scheme_points(space, scheme, p, seed)
+    Q, charts = np.array(points, dtype=np.int64), np.array(charts, dtype=np.intp)
+    mults = [pt.multiplicity for pt in scheme.points]
+    starts = np.cumsum([0] + [conditions_of_fat_point(a, N) for a in mults])
+    A = np.empty((starts[-1] + len(scheme.jets), ncols), dtype=np.int64)
+    aff = np.cumsum((0,) + space.factor_dims)  # each factor's affine coordinates
 
-    # basis-only tables for b = 0..max multiplicity (no jet order exceeds
-    # its base point's multiplicity): FF[k, b] = ff(e_k, b) mod p, which is
-    # 0 where e_k < b, and the clamped shifts S[k, b] = max(e_k - b, 0)
-    bmax = max((pt.multiplicity for pt in scheme.points), default=0)
-    FF = np.empty((C, bmax + 1, ncols), dtype=np.int64)
-    FF[:, 0] = 1
-    for b in range(1, bmax + 1):
-        FF[:, b] = FF[:, b - 1] * (E - (b - 1)) % p
-    S = np.maximum(E[:, None, :] - np.arange(bmax + 1)[:, None], 0)
-
-    nrows = scheme.conditions(space.ambient_dim())
-    first_jet_row = nrows - len(scheme.jets)
-    A = np.empty((nrows, ncols), dtype=np.int64)
-    r = 0
-    for pi, (pt, q, chart) in enumerate(zip(scheme.points, points, charts)):
-        affine = np.array([k for k in range(C) if k not in chart])
-        jets = [(ji, jet) for ji, jet in enumerate(scheme.jets) if jet.base_index == pi]
-        top = max([pt.multiplicity - 1] + [jet.order for _, jet in jets])
-        # T[i, b] = ff(e_k, b) * q_k^(e_k - b) for the i-th affine coordinate
-        # k: the order-b derivative of x_k^(e_k) at q, for every basis monomial
-        pows = np.ones((len(affine), maxdeg + 1), dtype=np.int64)
+    def rows(pts, betas):
+        """The rows d^beta x^e (q) over the basis columns, mod p, for the
+        multi-indices betas at each of the points pts: per point, the
+        Kronecker products of its factor rows."""
+        B = np.array(betas, dtype=np.intp)
+        # W[i, k, b, e] = ff(e, b) q_k^(e - b), the order-b derivative of x_k^e
+        # at the i-th point, for every coordinate k; the falling factorial
+        # ff(e, b) = e (e - 1) ... (e - b + 1) is 0 where e < b
+        q = Q[pts]
+        pows = np.ones(q.shape + (maxdeg + 1,), dtype=np.int64)
         for e in range(1, maxdeg + 1):
-            pows[:, e] = pows[:, e - 1] * np.take(q, affine) % p
-        T = FF[affine, : top + 1] * np.take_along_axis(pows[:, None], S[affine, : top + 1], 2) % p
+            pows[..., e] = pows[..., e - 1] * q % p
+        top = B.max()
+        ff = np.array([[perm(e, b) % p for e in range(maxdeg + 1)] for b in range(top + 1)])
+        b, e = np.ogrid[: top + 1, : maxdeg + 1]
+        W = pows[..., np.maximum(e - b, 0)] * ff % p
+        i = np.arange(len(pts))[:, None, None]
+        R = None
+        for f, (off, c, X) in enumerate(zip(offs, counts, monos)):
+            # the factor table D[i, r, u]: the product over the factor's
+            # affine coordinates j (in order, skipping the point's chart
+            # coordinate) of the derivatives of their powers in each monomial
+            D = None
+            for k in range(c - 1):
+                j = off + k + (off + k >= charts[pts, f])
+                # the derivatives of every order b, then each row's order
+                P = W[i, j[:, None, None], b, X.T[j - off][:, None]][:, B[:, aff[f] + k]]
+                D = P if D is None else D * P % p
+            D = D.reshape(len(pts) * len(B), -1)
+            if R is not None:
+                D = R[:, :, None] * D[:, None, :]
+                D %= p
+            R = D.reshape(len(pts) * len(B), -1)
+        return R if take is None else R[:, take]
 
-        betas = list(_derivative_multiindices(pt.multiplicity, len(affine)))
-        A[r : r + len(betas)] = _derivative_rows(T, betas, p)
-        r += len(betas)
-        for ji, jet in jets:
-            A[first_jet_row + ji] = _jet_row(T, jet.order, directions[ji], p)
+    for a in sorted(set(mults)):
+        group = [i for i, m in enumerate(mults) if m == a]
+        betas = list(_derivative_multiindices(a, N))
+        # at most _CHUNK rows' worth of points at a time
+        step = max(1, _CHUNK // len(betas))
+        for s in range(0, len(group), step):
+            batch = group[s : s + step]
+            A[(starts[batch][:, None] + np.arange(len(betas))).ravel()] = rows(batch, betas)
+
+    for ji, jet in enumerate(scheme.jets):
+        # order-kappa Taylor term along t, sum over |beta| = kappa of
+        # (t^beta / beta!) d^beta: the coefficient of lambda^kappa in
+        # prod_k (q_k + lambda t_k)^(e_k)
+        betas = list(compositions(jet.order, N))
+        inv_fact = [pow(factorial(b), -1, p) for b in range(jet.order + 1)]
+        coef = np.array([
+            prod(pow(t, b, p) * inv_fact[b] for t, b in zip(directions[ji], beta)) % p
+            for beta in betas
+        ])
+        R = rows([jet.base_index], betas)
+        A[starts[-1] + ji] = (coef[:, None] * R % p).sum(axis=0) % p
 
     return InterpolationMatrix(A)
 
 
-def _derivative_rows(T: np.ndarray, betas: list[tuple[int, ...]], p: int) -> np.ndarray:
-    """One row per multi-index beta: d^beta of every basis monomial at the
-    point, prod_i T[i, beta_i] mod p."""
-    B = np.array(betas, dtype=np.intp)
-    rows = T[0, B[:, 0]]
-    for i in range(1, len(T)):
-        rows = rows * T[i, B[:, i]] % p
-    return rows
-
-
-def _jet_row(T: np.ndarray, kappa: int, direction: tuple[int, ...], p: int) -> np.ndarray:
-    """Order-kappa Taylor term along t, sum over |beta| = kappa of
-    (t^beta / beta!) d^beta: the coefficient of lambda^kappa in
-    prod_k (q_k + lambda t_k)^(e_k)."""
-    betas = list(compositions(kappa, len(T)))
-    inv_fact = [pow(factorial(b), -1, p) for b in range(kappa + 1)]
-    coef = [
-        prod(pow(t, b, p) * inv_fact[b] for t, b in zip(direction, beta)) % p
-        for beta in betas
-    ]
-    return (np.array(coef)[:, None] * _derivative_rows(T, betas, p) % p).sum(axis=0) % p
-
-
-# Panel width, trailing-update row chunk, the width up to which the
-# unblocked loop alone is used (there the panel copies cost more than the
-# matrix products save), and the panels between full reductions of the
-# trailing block.  _PANEL bounds the inner dimension of every product in
-# rank_fp, which keeps it exact in float64 (see _mulmod).
+# Panel width, the row chunk of trailing updates and of build_matrix's
+# row assembly, the width up to which the unblocked loop alone is used
+# (there the panel copies cost more than the matrix products save), and the
+# panels between full reductions of the trailing block.  _PANEL bounds the
+# inner dimension of every product in rank_fp, which keeps it exact in
+# float64 (see _mulmod).
 _PANEL = 32
 _CHUNK = 256
 _NARROW = 4 * _PANEL

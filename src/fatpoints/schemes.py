@@ -19,8 +19,7 @@ from .spaces import (
     CoordinateSubvariety,
     Multidegree,
     MultiProjectiveSpace,
-    basis_size,
-    ideal_basis,
+    ideal_basis_size,
 )
 
 
@@ -172,8 +171,5 @@ def virtual_dim(
 ) -> int:
     """Basis size minus the number of conditions (may be negative)."""
     scheme.check(space)
-    if scheme.contained:
-        ncols = len(ideal_basis(space, degree, scheme.contained))
-    else:
-        ncols = basis_size(space, degree)
+    ncols = ideal_basis_size(space, degree, scheme.contained)
     return ncols - scheme.conditions(space.ambient_dim())

@@ -12,7 +12,7 @@ Every consumer of column indices relies on this order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import comb, prod
 
 
@@ -116,6 +116,41 @@ def compositions(total: int, parts: int):
 def basis_size(space: MultiProjectiveSpace, degree: Multidegree) -> int:
     degree.check(space)
     return prod(comb(n + d, n) for n, d in zip(space.factor_dims, degree.degrees))
+
+
+def ideal_basis_size(
+    space: MultiProjectiveSpace,
+    degree: Multidegree,
+    contained: list[CoordinateSubvariety] | tuple[CoordinateSubvariety, ...] = (),
+) -> int:
+    """len(ideal_basis(space, degree, contained)), without listing it.
+
+    A monomial misses the ideal of a subvariety iff none of its vanishing
+    coordinates divides it.  By inclusion-exclusion over the sets S of
+    subvarieties it misses, the count is the sum of (-1)^|S| times the
+    number of monomials free of every coordinate that vanishes on some
+    member of S: a product of per-factor binomials, basis_size at S = {}.
+    """
+    degree.check(space)
+    for sub in contained:
+        sub.check(space)
+
+    def free_of(zero: list[set[int]]) -> int:
+        # monomials of degree d in the c - |z| coordinates left per factor
+        return prod(
+            comb(c - len(z) - 1 + d, d) if len(z) < c else int(d == 0)
+            for c, d, z in zip(space.coord_counts(), degree.degrees, zero)
+        )
+
+    total = 0
+    for k in range(len(contained) + 1):
+        for subs in combinations(contained, k):
+            zero = [
+                set().union(*(s.vanishing[f] for s in subs))
+                for f in range(space.num_factors)
+            ]
+            total += (-1) ** k * free_of(zero)
+    return total
 
 
 def monomial_basis(

@@ -9,7 +9,6 @@ script) only for an intended change of the matrices.
 """
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,9 +19,7 @@ from fatpoints.replication import load_bundled_registry
 from fatpoints.schemes import make_scheme
 from fatpoints.secant import critical_r
 from fatpoints.spaces import Multidegree, MultiProjectiveSpace
-
-sys.path.insert(0, str(Path(__file__).parent))
-from test_engine import _jet_instances  # noqa: E402
+from test_engine import _jet_instances
 
 DIGESTS = Path(__file__).with_name("build_digests.json")
 PAIRS = [(DEFAULT_PRIME, 3), (101, 1)]

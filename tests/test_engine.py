@@ -1,8 +1,11 @@
 import random
 from bisect import bisect_left
+from math import comb, perm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatpoints.engine import (
     ALTERNATE_PRIME,
@@ -17,6 +20,7 @@ from fatpoints.engine import (
     build_matrix,
     dimension,
     dimensions,
+    draw_scheme_points,
     exact_dimension,
     exact_rank_oracle,
     rank_fp,
@@ -31,7 +35,13 @@ from fatpoints.schemes import (
     make_scheme,
     virtual_dim,
 )
-from fatpoints.spaces import Multidegree, MultiProjectiveSpace
+from fatpoints.spaces import (
+    CoordinateSubvariety,
+    Multidegree,
+    MultiProjectiveSpace,
+    compositions,
+    ideal_basis,
+)
 
 
 def test_rank_fp_small():
@@ -396,6 +406,89 @@ def test_jet_row_matches_exact_oracle():
         assert rank_fp(mat.array, DEFAULT_PRIME) == exact_rank_oracle(
             space, degree, scheme
         ), (space, degree, scheme)
+
+
+def _derivative_at(e, q, affine, beta, p):
+    """d^beta x^e at q, mod p: prod over the affine coordinates k of
+    e_k (e_k - 1) ... (e_k - beta_k + 1) q_k^(e_k - beta_k)."""
+    value = 1
+    for k, b in zip(affine, beta):
+        value *= perm(e[k], b) * q[k] ** max(e[k] - b, 0)
+    return value % p
+
+
+def _taylor_term(e, q, affine, t, kappa, p):
+    """The coefficient of lambda^kappa in prod_k (q_k + lambda t_k)^(e_k)
+    over the affine coordinates k, mod p, by the binomial theorem."""
+    poly = [1]
+    for k, tk in zip(affine, t):
+        factor = [comb(e[k], i) * q[k] ** (e[k] - i) * tk**i for i in range(min(e[k], kappa) + 1)]
+        poly = [
+            sum(poly[j] * factor[i - j] for j in range(len(poly)) if 0 <= i - j < len(factor))
+            for i in range(min(len(poly) + len(factor) - 1, kappa + 1))
+        ]
+    return poly[kappa] % p if kappa < len(poly) else 0
+
+
+def _reference_matrix(space, degree, scheme, p, seed):
+    """The interpolation matrix entry by entry, in Python integers, at the
+    engine's draws: per point the derivatives of order 0, 1, ..., a - 1
+    (each order in composition order), then one row per jet."""
+    points, charts, directions = draw_scheme_points(space, scheme, p, seed)
+    cols = ideal_basis(space, degree, scheme.contained)
+    N = space.ambient_dim()
+    affine = [
+        [k for k in range(space.total_coords()) if k not in chart] for chart in charts
+    ]
+    rows = []
+    for pt, q, aff in zip(scheme.points, points, affine):
+        for order in range(pt.multiplicity):
+            for beta in compositions(order, N):
+                rows.append([_derivative_at(e, q, aff, beta, p) for e in cols])
+    for jet, t in zip(scheme.jets, directions):
+        q, aff = points[jet.base_index], affine[jet.base_index]
+        rows.append([_taylor_term(e, q, aff, t, jet.order, p) for e in cols])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
+
+
+@st.composite
+def _small_systems(draw):
+    """A space of 1-3 factors, general points of multiplicity 1-3 (some on
+    coordinate strata), jets with drawn or pinned directions, contained
+    subvarieties, and a (prime, seed)."""
+    nf = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(1, 2)) for _ in range(nf))
+    degs = tuple(draw(st.integers(0 if nf > 1 else 1, 3 if nf < 3 else 2)) for _ in dims)
+
+    def subvariety():
+        van = [draw(st.sets(st.integers(0, n), max_size=n)) for n in dims]
+        if not any(van):
+            van[draw(st.integers(0, nf - 1))] = {0}
+        return CoordinateSubvariety(tuple(map(frozenset, van)))
+
+    points = [
+        FatPoint(draw(st.integers(1, 3)), PointSpec(subvariety() if draw(st.booleans()) else None))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    jets = []
+    for _ in range(draw(st.integers(0, 2))):
+        base = draw(st.integers(0, len(points) - 1))
+        order = draw(st.integers(1, points[base].multiplicity))
+        direction = draw(st.none() | st.tuples(*[st.integers(-9, 9)] * sum(dims)))
+        jets.append(JetCondition(base, order, direction))
+    contained = [subvariety() for _ in range(draw(st.integers(0, 2)))]
+    p = draw(st.sampled_from([DEFAULT_PRIME, 101]))
+    seed = draw(st.integers(0, 2**32))
+    scheme = FatPointScheme(points, jets, contained)
+    return MultiProjectiveSpace(dims), Multidegree(degs), scheme, p, seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_systems())
+def test_build_matrix_matches_the_definition(system):
+    space, degree, scheme, p, seed = system
+    got = build_matrix(space, degree, scheme, prime=p, seed=seed).array
+    assert np.array_equal(got, _reference_matrix(space, degree, scheme, p, seed))
 
 
 def test_computed_dim_at_least_vdim():

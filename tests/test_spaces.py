@@ -11,6 +11,7 @@ from fatpoints.spaces import (
     basis_size,
     compositions,
     ideal_basis,
+    ideal_basis_size,
     monomial_basis,
 )
 
@@ -123,3 +124,43 @@ def test_ideal_basis_is_subset_and_monotone(data):
     assert set(constrained) <= set(full)
     twice = ideal_basis(space, degree, [sub, sub])
     assert twice == constrained
+
+
+def _subvarieties(data, dims):
+    """Zero to three coordinate subvarieties, each vanishing on a proper
+    subset of some factors' coordinates."""
+    subs = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        van = [data.draw(st.sets(st.integers(0, n), max_size=n)) for n in dims]
+        if not any(van):
+            van[data.draw(st.integers(0, len(dims) - 1))] = {0}
+        subs.append(CoordinateSubvariety(tuple(map(frozenset, van))))
+    return subs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ideal_basis_size_counts_the_ideal_basis(data):
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    space = MultiProjectiveSpace(dims)
+    degree = Multidegree(tuple(data.draw(st.integers(0, 3)) for _ in dims))
+    subs = _subvarieties(data, dims)
+    assert ideal_basis_size(space, degree, subs) == len(ideal_basis(space, degree, subs))
+    assert ideal_basis_size(space, degree) == basis_size(space, degree)
+
+
+def test_ideal_basis_size_of_the_registry():
+    from fatpoints.replication import load_bundled_registry
+
+    for case in load_bundled_registry():
+        sp, dg, contained = case.space, case.degree, case.scheme.contained
+        assert ideal_basis_size(sp, dg, contained) == len(ideal_basis(sp, dg, contained))
+
+
+def test_ideal_basis_size_of_a_large_system_is_a_closed_form():
+    # about 2.5e10 monomials: counting them one by one would never finish
+    space, degree = MultiProjectiveSpace((3, 3)), Multidegree((300, 300))
+    sub = CoordinateSubvariety((frozenset({0}), frozenset({1, 2})))
+    assert ideal_basis_size(space, degree) == comb(303, 3) ** 2
+    # minus the monomials free of x0 and free of y1, y2
+    assert ideal_basis_size(space, degree, [sub]) == comb(303, 3) ** 2 - comb(302, 2) * 301
