@@ -26,7 +26,7 @@ from .degeneration import (
 )
 from .engine import DimensionVerdict, PrimeFieldConfig, dimension
 from .replication import run_basecases
-from .schemes import make_scheme
+from .schemes import make_scheme, parse_scheme_type
 from .secant import is_defective, secant_dim, theorem_hypotheses
 from .spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
 
@@ -67,9 +67,12 @@ def _parse_divisor(text: str) -> DivisorSpec:
         )
 
 
-def _strata_from_flags(space, on_divisor: list[str] | None):
-    """Each --on-divisor FACTOR:INDEX:COUNT confines the next COUNT points
-    (in scheme order) to the coordinate divisor {x_index = 0}."""
+def _scheme_from_flags(space, scheme_type: str, on_divisor: list[str] | None):
+    """The scheme of a --scheme type, where each --on-divisor
+    FACTOR:INDEX:COUNT confines the next COUNT points (in scheme order) to
+    the coordinate divisor {x_index = 0}."""
+    profile = parse_scheme_type(scheme_type)
+    npoints = sum(count for _, count in profile)
     strata: list[CoordinateSubvariety | None] = []
     for spec in on_divisor or []:
         parts = spec.split(":")
@@ -78,9 +81,12 @@ def _strata_from_flags(space, on_divisor: list[str] | None):
         factor, index, count = (int(t) for t in parts)
         if count < 1:
             raise ValueError(f"bad --on-divisor {spec!r}, COUNT must be >= 1")
+        # checked before the list grows, so that a huge COUNT is refused
+        if len(strata) + count > npoints:
+            raise ValueError("more strata than points")
         sub = DivisorSpec(factor, index).as_subvariety(space)
         strata.extend([sub] * count)
-    return strata
+    return make_scheme(profile, strata or None)
 
 
 def _config(args) -> PrimeFieldConfig:
@@ -101,9 +107,7 @@ def _status_exit(status: DimensionVerdict) -> int:
 def _cmd_dim(args, config):
     space = _parse_space(args.space)
     degree = _parse_deg(args.deg)
-    strata = _strata_from_flags(space, args.on_divisor)
-    profile = args.scheme
-    scheme = make_scheme(profile, strata or None)
+    scheme = _scheme_from_flags(space, args.scheme, args.on_divisor)
     cert = dimension(space, degree, scheme, config)
     doc = {
         "space": list(space.factor_dims),
@@ -207,8 +211,10 @@ def _cmd_verify_arith(args, config):
 
 def _cmd_star(args, config):
     star = star_configuration(args.n, config.prime, config.seed)
-    span_ok = star_span_check(star)
+    # the nonspeciality check first: past the column limit it refuses the
+    # request at once, where the span check takes 2^(n+1) subset ranks
     certs = star_nonspeciality_check(star, config)
+    span_ok = star_span_check(star)
     ok = span_ok and all(c.status.certified for c in certs.values())
     doc = {
         "n": args.n,
@@ -230,8 +236,7 @@ def _cmd_star(args, config):
 def _cmd_castelnuovo(args, config):
     space = _parse_space(args.space)
     degree = _parse_deg(args.deg)
-    strata = _strata_from_flags(space, args.on_divisor)
-    scheme = make_scheme(args.scheme, strata or None)
+    scheme = _scheme_from_flags(space, args.scheme, args.on_divisor)
     divisor = _parse_divisor(args.divisor)
     report = castelnuovo_bound_check(space, degree, scheme, divisor, config)
     ok = report["additive"] and report["bound_holds"] and report["vdim_le_dim"]

@@ -27,14 +27,14 @@ the kept columns use.
 The elimination (rank_profile) returns the column rank profile over F_p,
 the pivot columns in order; rank_fp is its length.  It is exact for every
 prime p < 2^31.  Matrices of more than four panels of 32 columns are
-eliminated blockwise: each panel's pivots are found by a row-operation
-loop in int64 (one slice update per pivot) on the panel's leading rows,
-doubling them until every column has a pivot, and the rows below are
-updated by one float64 (BLAS) matrix product per chunk of rows.  The right
-factor of that product is split into 16-bit limbs, so with at most 32
-inner terms every entry stays below 2^53 and the product is exact.
-Updated entries are reduced mod p only when a panel reads them, and in
-full every eight panels.  Narrower matrices use the loop alone.
+eliminated blockwise.  A row-operation loop in int64 (one slice update per
+pivot) on a panel's leading rows, doubled until every column has a pivot,
+gives its pivots, row swaps and the inverse of its pivot block, and the
+rows below are updated by one float64 (BLAS) matrix product per chunk of
+rows.  The right factor of that product is split into 16-bit limbs, so
+with at most 32 inner terms every entry stays below 2^53 and the product
+is exact.  Updated entries are reduced mod p only when a panel reads them,
+and in full every eight panels.  Narrower matrices use the loop alone.
 
 Points are drawn in order from one seeded stream, so the rows of the first
 k points of a scheme are a row prefix of its matrix.  The row rank profile
@@ -368,15 +368,13 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
 
     Entries are reduced mod p; the input, of any memory layout, is not
     modified.  Matrices wider than _NARROW columns are eliminated in panels
-    of _PANEL columns: the panel's pivots and row swaps are found by the
-    unblocked loop on its leading rows (_panel_pivots) and the swaps are
-    applied to the matrix, its pivot rows are solved so their pivot columns
-    form the identity (U12 is their trailing part), and the other rows,
-    whose entries in the pivot columns are X, get the trailing update
-    A22 += X (-U12), one float64 matrix product on 16-bit limbs per chunk of
-    _CHUNK rows (see _mulmod).  A22 is reduced mod p only where it is read
-    next, and in full every _DELAY panels.  The last _NARROW columns, and
-    narrow matrices, use the unblocked loop alone.
+    of _PANEL columns.  One loop (_panel) gives a panel's pivots, its row
+    swaps, which are applied to A, and the inverse of its pivot block, which
+    solves the pivot rows to [I | U12]; the rows below, whose entries in the
+    pivot columns are X, get A22 += X (-U12), one float64 matrix product on
+    16-bit limbs per chunk of _CHUNK rows (see _mulmod).  A22 is reduced mod
+    p only where it is read next, and in full every _DELAY panels.  The last
+    _NARROW columns, and narrow matrices, use the unblocked loop alone.
     """
     if not 2 <= p < 2**31:
         raise ValueError(f"rank_profile needs 2 <= p < 2^31, got {p}")
@@ -391,14 +389,13 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
         if c // _PANEL % _DELAY == _DELAY - 1:
             A[r:, c1:] %= p
         A[r:, c:c1] %= p
-        pivots, swaps = _panel_pivots(A[r:, c:c1], p)
+        pivots, swaps, inv = _panel(A[r:, c:c1], p)
         for i, j in swaps:
             A[[r + i, r + j], c:] = A[[r + j, r + i], c:]
         J = [c + j for j in pivots]
         k = len(J)
         if k:
-            neg_inv = -_inverse(A[r : r + k, J], p) % p
-            U = _limbs(_mulmod(neg_inv, _limbs(A[r : r + k, c1:] % p), p) % p)
+            U = _limbs(_mulmod(-inv % p, _limbs(A[r : r + k, c1:] % p), p) % p)
             for s in range(r + k, m, _CHUNK):
                 A[s : s + _CHUNK, c1:] += _mulmod(A[s : s + _CHUNK, J], U, p)
         profile += J
@@ -435,35 +432,39 @@ def _echelon(A: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
     return pivots, swaps
 
 
-def _panel_pivots(P: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """The pivots and row swaps of _echelon(P.copy(), p), found from the
-    leading b rows of P, b = _PANEL, 2 _PANEL, 4 _PANEL, ..., up to the first
-    b where every column has a pivot or that covers P.  That is exact: a
-    row of P[:b] is reduced only by pivot rows inside P[:b], so _echelon
-    makes the same choices on P[:b] as on P until a column finds no pivot
-    there, and a full set of pivots leaves no column to decide further down."""
+def _panel(P: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]], np.ndarray]:
+    """The pivots and row swaps of _echelon(P.copy(), p) and the inverse of
+    its pivot block (pivot rows, swaps applied, in pivot columns), from one
+    Gauss-Jordan loop on [P[:b] | 0]: rows below a pivot see _echelon's
+    operations, and the n extra columns (not b: at most n rows are pivots)
+    record rows as combinations of pivot rows, which end as [I | inverse].
+    b = _PANEL, 2 _PANEL, ..., up to the first b where every column has a
+    pivot or that covers P: exact, as a row of P[:b] is reduced only by
+    pivot rows in P[:b], so _echelon chooses as on P until a column finds
+    no pivot there, and a full set of pivots leaves none to decide below."""
+    m, n = P.shape
     b = _PANEL
     while True:
-        pivots, swaps = _echelon(P[:b].copy(), p)
-        if len(pivots) == P.shape[1] or b >= len(P):
-            return pivots, swaps
+        G = np.pad(P[:b], [(0, 0), (0, n)])
+        pivots, swaps = [], []
+        for c in range(n):
+            r = len(pivots)
+            nz = np.nonzero(G[r:, c])[0]
+            if nz.size == 0:
+                continue
+            piv = r + int(nz[0])
+            if piv != r:
+                G[[r, piv], c:] = G[[piv, r], c:]
+                swaps.append((r, piv))
+            G[r, n + r] = 1  # row r becomes the r-th pivot row
+            end = n + r + 1  # row r is 0 left of column c and from end on
+            u = G[r, c:end] * pow(int(G[r, c]), -1, p) % p
+            G[:, c:end] = (G[:, c:end] - G[:, c, None] * u) % p
+            G[r, c:end] = u
+            pivots.append(c)
+        if len(pivots) == n or b >= m:
+            return pivots, swaps, G[: len(pivots), n : n + len(pivots)]
         b *= 2
-
-
-def _inverse(M: np.ndarray, p: int) -> np.ndarray:
-    """M^-1 over F_p by Gauss-Jordan without row exchanges, for an int64
-    M with entries in [0, p) whose leading principal minors are all nonzero
-    mod p.  The pivot rows of a panel, in pivot order and restricted to its
-    pivot columns, are such a matrix: the unblocked loop factors it as an
-    invertible lower triangular matrix times a unit upper triangular one."""
-    k = len(M)
-    G = np.concatenate([M, np.eye(k, dtype=np.int64)], axis=1)
-    for i in range(k):
-        G[i] = G[i] * pow(int(G[i, i]), -1, p) % p
-        f = G[:, i].copy()
-        f[i] = 0
-        G = (G - f[:, None] * G[i]) % p
-    return G[:, k:]
 
 
 def _limbs(U: np.ndarray) -> np.ndarray:
@@ -673,5 +674,5 @@ def exact_rank_oracle(
 
 
 def exact_dimension(space, degree, scheme) -> int:
-    basis = ideal_basis(space, degree, scheme.contained)
-    return len(basis) - exact_rank_oracle(space, degree, scheme)
+    ncols = ideal_basis_size(space, degree, scheme.contained)
+    return ncols - exact_rank_oracle(space, degree, scheme)

@@ -132,11 +132,17 @@ def test_unknown_lemma_is_usage_error(capsys):
     assert "'no-such-lemma'" in err
 
 
-def test_closed_stdout_exits_with_the_verdict(tmp_path):
-    # a reader that is already gone, as with `| head -c1` or `| true`
+def _module_env():
+    """The environment for `python -m fatpoints.cli` from this checkout."""
     env = dict(os.environ)
     src = str(Path(__file__).parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_stdout_exits_with_the_verdict(tmp_path):
+    # a reader that is already gone, as with `| head -c1` or `| true`
+    env = _module_env()
     argv = [sys.executable, "-m", "fatpoints.cli", "dim", "--space", "1x1",
             "--deg", "3,3", "--scheme", "3,2^3", "--cache", str(tmp_path / "c.jsonl")]
     for _ in ("fresh reply", "cache hit"):
@@ -246,15 +252,27 @@ def test_castelnuovo_cli(capsys):
     assert code == 0 and "holds" in out
 
 
-@pytest.mark.parametrize("spec", ["0:0:5", "0:0:0", "0:0:-3", "5:0:1", "-1:0:1"])
+@pytest.mark.parametrize(
+    "spec", ["0:0:5", f"0:0:{10**15}", "0:0:0", "0:0:-3", "5:0:1", "-1:0:1"]
+)
 def test_on_divisor_overflow_is_usage_error(capsys, spec):
-    # more strata than points, a COUNT below 1, which confines no point, or
-    # a FACTOR that the space does not have
+    # more strata than points, also a COUNT whose strata could not even be
+    # listed, a COUNT below 1, which confines no point, or a FACTOR that the
+    # space does not have
     system = ("--space", "1x1", "--deg", "3,3", "--scheme", "2", f"--on-divisor={spec}")
     for argv in (("dim", *system), ("castelnuovo", *system, "--divisor", "0:0")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 64 and out == ""
         assert err.startswith("fatpoints: ")
+
+
+def test_star_past_the_column_limit_is_refused_at_once():
+    # the cubics on P^28 have 4495 columns; the span check, about 2^30
+    # subset ranks, must not run before that is found
+    proc = subprocess.run([sys.executable, "-m", "fatpoints.cli", "star", "--n", "29"],
+                          capture_output=True, env=_module_env(), timeout=60)
+    assert proc.returncode == 64, proc.stderr
+    assert b"column limit" in proc.stderr and proc.stdout == b""
 
 
 def test_damaged_cache_line_is_skipped(tmp_path, capsys):

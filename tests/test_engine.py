@@ -16,7 +16,7 @@ from fatpoints.engine import (
     _NARROW,
     _PANEL,
     _echelon,
-    _panel_pivots,
+    _panel,
     build_matrix,
     dimension,
     dimensions,
@@ -218,8 +218,17 @@ def test_panel_pivots_match_echelon(p):
     panels.append(rng.integers(0, p, (m, _PANEL)))
     for P in panels:
         before = P.copy()
-        assert _panel_pivots(P, p) == _echelon(P.copy(), p)
+        pivots, swaps, inv = _panel(P, p)
+        assert (pivots, swaps) == _echelon(P.copy(), p)
         assert np.array_equal(P, before)
+        # inv inverts the pivot rows, swaps applied, in the pivot columns
+        order = list(range(m))
+        for i, j in swaps:
+            order[i], order[j] = order[j], order[i]
+        block = P[np.ix_(order[: len(pivots)], pivots)]
+        assert np.array_equal(_mulmod_int64(inv, block, p), np.eye(len(pivots)))
+
+
 def test_prefix_ranks_match_exact_oracle():
     # the systems of test_prime_field_rank_matches_exact_oracle: the rank of
     # every point prefix, read off one row rank profile of the whole matrix
