@@ -24,7 +24,7 @@ from .degeneration import (
     star_nonspeciality_check,
     star_span_check,
 )
-from .engine import DimensionVerdict, PrimeFieldConfig, dimension
+from .engine import DimensionVerdict, PrimeFieldConfig, check_columns, dimension
 from .replication import run_basecases
 from .schemes import make_scheme, parse_scheme_type
 from .secant import is_defective, secant_dim, theorem_hypotheses
@@ -67,14 +67,17 @@ def _parse_divisor(text: str) -> DivisorSpec:
         )
 
 
-def _scheme_from_flags(space, scheme_type: str, on_divisor: list[str] | None):
-    """The scheme of a --scheme type, where each --on-divisor
-    FACTOR:INDEX:COUNT confines the next COUNT points (in scheme order) to
-    the coordinate divisor {x_index = 0}."""
-    profile = parse_scheme_type(scheme_type)
+def _system_from_flags(args):
+    """The space, degree and scheme of --space, --deg and a --scheme type,
+    where each --on-divisor FACTOR:INDEX:COUNT confines the next COUNT points
+    (in scheme order) to the coordinate divisor {x_index = 0}.  The column
+    limit is checked before any point is listed."""
+    space, degree = _parse_space(args.space), _parse_deg(args.deg)
+    check_columns(space, degree)
+    profile = parse_scheme_type(args.scheme)
     npoints = sum(count for _, count in profile)
     strata: list[CoordinateSubvariety | None] = []
-    for spec in on_divisor or []:
+    for spec in args.on_divisor or []:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"bad --on-divisor {spec!r}, expected FACTOR:INDEX:COUNT")
@@ -86,7 +89,7 @@ def _scheme_from_flags(space, scheme_type: str, on_divisor: list[str] | None):
             raise ValueError("more strata than points")
         sub = DivisorSpec(factor, index).as_subvariety(space)
         strata.extend([sub] * count)
-    return make_scheme(profile, strata or None)
+    return space, degree, make_scheme(profile, strata or None)
 
 
 def _config(args) -> PrimeFieldConfig:
@@ -105,9 +108,7 @@ def _status_exit(status: DimensionVerdict) -> int:
 
 
 def _cmd_dim(args, config):
-    space = _parse_space(args.space)
-    degree = _parse_deg(args.deg)
-    scheme = _scheme_from_flags(space, args.scheme, args.on_divisor)
+    space, degree, scheme = _system_from_flags(args)
     cert = dimension(space, degree, scheme, config)
     doc = {
         "space": list(space.factor_dims),
@@ -210,9 +211,12 @@ def _cmd_verify_arith(args, config):
 
 
 def _cmd_star(args, config):
+    # the cubics on the hyperplane P^(n-1) are the widest system: checked
+    # first, a star past the column limit is refused before its (n+1)^2
+    # coordinates are drawn or the span check's 2^(n+1) subset ranks start
+    if args.n >= 2:  # star_configuration refuses a smaller n
+        check_columns(MultiProjectiveSpace((args.n - 1,)), Multidegree((3,)))
     star = star_configuration(args.n, config.prime, config.seed)
-    # the nonspeciality check first: past the column limit it refuses the
-    # request at once, where the span check takes 2^(n+1) subset ranks
     certs = star_nonspeciality_check(star, config)
     span_ok = star_span_check(star)
     ok = span_ok and all(c.status.certified for c in certs.values())
@@ -234,9 +238,7 @@ def _cmd_star(args, config):
 
 
 def _cmd_castelnuovo(args, config):
-    space = _parse_space(args.space)
-    degree = _parse_deg(args.deg)
-    scheme = _scheme_from_flags(space, args.scheme, args.on_divisor)
+    space, degree, scheme = _system_from_flags(args)
     divisor = _parse_divisor(args.divisor)
     report = castelnuovo_bound_check(space, degree, scheme, divisor, config)
     ok = report["additive"] and report["bound_holds"] and report["vdim_le_dim"]

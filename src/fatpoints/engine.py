@@ -55,9 +55,9 @@ from math import factorial, perm, prod
 
 import numpy as np
 
-from .schemes import FatPointScheme, conditions_of_fat_point, virtual_dim
-from .spaces import Multidegree, MultiProjectiveSpace, compositions
-from .spaces import ideal_basis, ideal_basis_size
+from .schemes import FatPointScheme, conditions_of_fat_point
+from .spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
+from .spaces import compositions, ideal_basis, ideal_basis_size
 
 DEFAULT_PRIME = 2147483647
 ALTERNATE_PRIME = 2147483629
@@ -228,6 +228,19 @@ def _derivative_multiindices(multiplicity: int, n_aff: int):
         yield from compositions(order, n_aff)
 
 
+def check_columns(
+    space: MultiProjectiveSpace,
+    degree: Multidegree,
+    contained: list[CoordinateSubvariety] | tuple[CoordinateSubvariety, ...] = (),
+) -> int:
+    """The number of columns of the system's matrix, counted in closed form;
+    a ValueError past MAX_COLUMNS, before any monomial or point is listed."""
+    ncols = ideal_basis_size(space, degree, contained)
+    if ncols > MAX_COLUMNS:
+        raise ValueError(f"{ncols} columns exceeds the {MAX_COLUMNS} column limit")
+    return ncols
+
+
 @dataclass
 class InterpolationMatrix:
     array: np.ndarray
@@ -253,9 +266,7 @@ def build_matrix(
     maxdeg = max(degree.degrees, default=0)
     if p <= maxdeg:
         raise ValueError("prime must exceed the maximum factor degree")
-    ncols = ideal_basis_size(space, degree, scheme.contained)
-    if ncols > MAX_COLUMNS:
-        raise ValueError(f"{ncols} columns exceeds the {MAX_COLUMNS} column limit")
+    ncols = check_columns(space, degree, scheme.contained)
 
     # per factor, the factor monomials that the kept columns use, in basis
     # order: the columns are their product, or `take` of it where contained
@@ -525,10 +536,11 @@ def dimensions(
             scheme if k == npts
             else FatPointScheme(scheme.points[:k], contained=scheme.contained)
         )
-    N = space.ambient_dim()
-    vdims = [virtual_dim(space, degree, sub) for sub in subs]
+    # the subschemes share the columns; build_matrix checks the scheme
+    cols = ideal_basis_size(space, degree, scheme.contained)
+    rows = [sub.conditions(space.ambient_dim()) for sub in subs]
+    vdims = [cols - nrows for nrows in rows]
     exps = [max(0, vdim) for vdim in vdims]
-    rows = [sub.conditions(N) for sub in subs]
 
     attempts = [(config.prime, config.seed)]
     attempts += [(config.prime, config.child_seed(i)) for i in range(1, RETRIES + 1)]
@@ -537,7 +549,6 @@ def dimensions(
     attempts.append((alternate, config.seed))
 
     runs: list[list[tuple[int, int, int]]] = [[] for _ in subs]
-    cols = 0
     for p, sd in attempts:
         # a prefix stops at its first attempt that gives the expected dim
         todo = [i for i, rs in enumerate(runs) if not rs or rs[-1][2] != exps[i]]
@@ -547,7 +558,6 @@ def dimensions(
         longest = max(todo, key=lambda i: rows[i])
         mat = build_matrix(space, degree, subs[longest], prime=p, seed=sd)
         profile = rank_profile(mat.array.T, p)
-        cols = mat.cols
         for i in todo:
             runs[i].append((p, sd, cols - bisect_left(profile, rows[i])))
 

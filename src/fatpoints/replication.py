@@ -31,19 +31,10 @@ from .spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
 @dataclass(frozen=True)
 class BaseCase:
     case_id: str
-    factor_dims: tuple[int, ...]
-    degrees: tuple[int, ...]
+    space: MultiProjectiveSpace
+    degree: Multidegree
     expected: str  # "Regular" or "Zero"
     scheme: FatPointScheme
-    note: str
-
-    @property
-    def space(self) -> MultiProjectiveSpace:
-        return MultiProjectiveSpace(self.factor_dims)
-
-    @property
-    def degree(self) -> Multidegree:
-        return Multidegree(self.degrees)
 
 
 def _sub(nfac: int, factor: int, idxs) -> CoordinateSubvariety:
@@ -66,33 +57,33 @@ def load_bundled_registry() -> list[BaseCase]:
     nowhere else."""
     cases: list[BaseCase] = []
 
-    def add(cid, dims, degs, expected, scheme, note):
-        scheme.check(MultiProjectiveSpace(dims))
-        cases.append(BaseCase(cid, dims, degs, expected, scheme, note))
+    def add(cid, dims, degs, expected, scheme):
+        space = MultiProjectiveSpace(dims)
+        scheme.check(space)
+        cases.append(BaseCase(cid, space, Multidegree(degs), expected, scheme))
 
     # --- bidegree (3,3) family and its (2,3)/(3,2)/(3,1) reductions ----
 
     add(
         "33-1x1-triple", (1, 1), (3, 3), "Regular",
         FatPointScheme(_pts((3, 1, None), (2, k_up(3, 3, 1, 1), None))),
-        "bidegree (3,3) on P1xP1, one triple and three double points; dim 1",
     )
     add(
         "33-2x1-quadruple", (2, 1), (3, 3), "Zero",
         FatPointScheme(_pts((4, 1, None), (2, k_down(3, 3, 2, 1), None))),
-        "bidegree (3,3) on P2xP1, one quadruple and six double points",
     )
     add(
         "23-2x2-triple", (2, 2), (2, 3), "Regular",
         FatPointScheme(_pts((3, 1, None), (2, ell(2, 2), None))),
-        "bidegree (2,3) on P2xP2, one triple and nine double points; vdim 0",
     )
     for n in (2, 3):
         add(
             f"23-1x{n}-triple", (1, n), (2, 3), "Zero",
             FatPointScheme(_pts((3, 1, None), (2, s(n), None))),
-            f"bidegree (2,3) on P1xP{n}, one triple and {s(n)} double points; vdim 0",
         )
+    # the chained specializations of the (2,3)-on-P1xPn argument (see
+    # reconcile_specializations): the forms contain k codimension-2
+    # coordinate subvarieties, and the triple point lies on all of them
     for n in (4, 5):
         A = _sub(2, 1, {0, 1})
         add(
@@ -101,8 +92,6 @@ def load_bundled_registry() -> list[BaseCase]:
                 _pts((3, 1, A), (2, s(n - 2), A), (2, 2 * n + 1, None)),
                 contained=[A],
             ),
-            f"bidegree (2,3) on P1x P{n}, forms through a codimension-2 "
-            "coordinate subvariety carrying the triple point",
         )
     for n in (6, 7):
         A = _sub(2, 1, {0, 1})
@@ -118,8 +107,6 @@ def load_bundled_registry() -> list[BaseCase]:
                 ),
                 contained=[A, B],
             ),
-            f"bidegree (2,3) on P1xP{n}, forms through two codimension-2 "
-            "subvarieties, triple point on their intersection",
         )
     for n in (8, 9):
         A = _sub(2, 1, {0, 1})
@@ -139,14 +126,12 @@ def load_bundled_registry() -> list[BaseCase]:
                 ),
                 contained=[A, B, C],
             ),
-            f"bidegree (2,3) on P1xP{n}, forms through three codimension-2 "
-            "subvarieties, triple point on their common intersection",
         )
     add(
         "32-2x2-triple", (2, 2), (3, 2), "Regular",
         FatPointScheme(_pts((3, 1, None), (2, b(2), None))),
-        "bidegree (3,2) on P2xP2, one triple and nine double points; vdim 0",
     )
+    # residual schemes of the (3,2)-on-P2xPn step
     for n in (3, 4, 5):
         D = _sub(2, 1, {0})
         add(
@@ -157,9 +142,8 @@ def load_bundled_registry() -> list[BaseCase]:
                     (1, b(n - 1), D), (1, v(n), None),
                 )
             ),
-            f"bidegree (3,1) on P2xP{n}, residual scheme with one double "
-            "point and the simple points on a coordinate divisor; vdim 0",
         )
+    # the residual scheme specialized onto a codimension-3 subvariety
     for n in (6, 7, 8):
         A = _sub(2, 1, {0, 1, 2})
         D = _sub(2, 1, {3})
@@ -176,8 +160,6 @@ def load_bundled_registry() -> list[BaseCase]:
                 ),
                 contained=[A],
             ),
-            f"bidegree (3,1) on P2xP{n}, forms through a codimension-3 "
-            "subvariety carrying the specialized residual scheme",
         )
 
     # --- bidegree (3,4) family ----------------------------------------
@@ -185,24 +167,20 @@ def load_bundled_registry() -> list[BaseCase]:
     add(
         "34-1x1-triple", (1, 1), (3, 4), "Regular",
         FatPointScheme(_pts((3, 1, None), (2, k_up(3, 4, 1, 1), None))),
-        "bidegree (3,4) on P1xP1, one triple and four double points; dim 2",
     )
     add(
         "34-1x2-quadruple", (1, 2), (3, 4), "Zero",
         FatPointScheme(_pts((4, 1, None), (2, k_down(3, 4, 1, 2), None))),
-        "bidegree (3,4) on P1xP2, one quadruple and eleven double points",
     )
     add(
         "33-1x3-triple", (1, 3), (3, 3), "Regular",
         FatPointScheme(
             _pts((3, 1, None), (2, k_down(3, 4, 1, 3) - k_down(3, 4, 1, 2), None))
         ),
-        "bidegree (3,3) on P1xP3, one triple and twelve double points; dim 5",
     )
     add(
         "24-2x2-triple", (2, 2), (2, 4), "Regular",
         FatPointScheme(_pts((3, 1, None), (2, j(2), None))),
-        "bidegree (2,4) on P2xP2, one triple and fourteen double points; dim 5",
     )
 
     # --- bidegree (4,4) family ----------------------------------------
@@ -210,18 +188,15 @@ def load_bundled_registry() -> list[BaseCase]:
     add(
         "44-1x1-triple", (1, 1), (4, 4), "Regular",
         FatPointScheme(_pts((3, 1, None), (2, k_up(4, 4, 1, 1), None))),
-        "bidegree (4,4) on P1xP1, one triple and six double points; dim 1",
     )
     add(
         "44-2x2-quadruple", (2, 2), (4, 4), "Zero",
         FatPointScheme(_pts((4, 1, None), (2, k_down(4, 4, 2, 2), None))),
-        "bidegree (4,4) on P2xP2, one quadruple and forty double points",
     )
     for n, cnt in ((2, k_down(4, 4, 1, 2)), (3, k_down(4, 4, 1, 3))):
         add(
             f"44-1x{n}-quadruple", (1, n), (4, 4), "Zero",
             FatPointScheme(_pts((4, 1, None), (2, cnt, None))),
-            f"bidegree (4,4) on P1xP{n}, one quadruple and {cnt} double points",
         )
 
     return cases
@@ -289,8 +264,8 @@ def run_basecases(
         entries.append(
             {
                 "id": case.case_id,
-                "space": list(case.factor_dims),
-                "degree": list(case.degrees),
+                "space": list(case.space.factor_dims),
+                "degree": list(case.degree.degrees),
                 "type": case.scheme.type_label(),
                 "expected_status": case.expected,
                 "status": cert.status.value,

@@ -15,6 +15,7 @@ from .engine import (
     Certificate,
     DimensionVerdict,
     PrimeFieldConfig,
+    check_columns,
     dimensions,
     status_matches,
 )
@@ -69,7 +70,7 @@ def secant_dims(
     one dimensions() call answers every r."""
     if any(r < 1 for r in rs):
         raise ValueError("r must be >= 1")
-    L = basis_size(space, degree)
+    L = check_columns(space, degree)  # before the points are listed
     scheme = make_scheme([(2, max(rs, default=0))])
     verdicts = []
     for r, cert in zip(rs, dimensions(space, degree, scheme, rs, config)):
@@ -209,7 +210,7 @@ def theorem_hypotheses(
     degree: Multidegree,
     config: PrimeFieldConfig | None = None,
 ) -> HypothesisReport:
-    L = basis_size(space, degree)
+    L = check_columns(space, degree)  # before the points are listed
     N = space.ambient_dim()
     r_values = collision_r_values(space, degree)
 

@@ -86,8 +86,16 @@ def test_excluded_pairs_are_genuine():
 
 def test_single_lemma_interface():
     assert verify_lemma("b-mod3", bound=60) == []
-    with pytest.raises(KeyError):
-        arith.get_lemma("no-such-lemma")
+    with pytest.raises(KeyError, match="no-such-lemma"):
+        verify_lemma("no-such-lemma")
+
+
+def test_every_lemma_states_itself():
+    # a lemma is its predicate, registered with its domain; the predicate's
+    # docstring is the statement
+    for lemma_id in arith.lemma_ids():
+        _, predicate = arith._REGISTRY[lemma_id]
+        assert (predicate.__doc__ or "").strip(), lemma_id
 
 
 @pytest.mark.parametrize("lemma_id,bound", [("b-mod3", 0), ("v-mod3", 3),

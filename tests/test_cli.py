@@ -266,10 +266,24 @@ def test_on_divisor_overflow_is_usage_error(capsys, spec):
         assert err.startswith("fatpoints: ")
 
 
-def test_star_past_the_column_limit_is_refused_at_once():
-    # the cubics on P^28 have 4495 columns; the span check, about 2^30
-    # subset ranks, must not run before that is found
-    proc = subprocess.run([sys.executable, "-m", "fatpoints.cli", "star", "--n", "29"],
+_OVER_LIMIT = ("--space", "3x3", "--deg", "30,30")  # 29767936 columns
+
+
+@pytest.mark.parametrize("argv", [
+    ("star", "--n", "29"),
+    ("star", "--n", "3000"),
+    ("defective", *_OVER_LIMIT),
+    ("hypotheses", *_OVER_LIMIT),
+    ("secant", *_OVER_LIMIT, "--r", "10000000"),
+    ("dim", *_OVER_LIMIT, "--scheme", "2^100000000"),
+    ("castelnuovo", *_OVER_LIMIT, "--scheme", "2^100000000", "--divisor", "0:0"),
+], ids=["star-29", "star-3000", "defective", "hypotheses", "secant", "dim", "castelnuovo"])
+def test_star_past_the_column_limit_is_refused_at_once(argv):
+    # the column count is checked before any point is listed or drawn: the
+    # cubics on P^28 have 4495 columns, and the star's span check (about
+    # 2^30 subset ranks) must not start; the other systems would list or
+    # draw millions of points
+    proc = subprocess.run([sys.executable, "-m", "fatpoints.cli", *argv],
                           capture_output=True, env=_module_env(), timeout=60)
     assert proc.returncode == 64, proc.stderr
     assert b"column limit" in proc.stderr and proc.stdout == b""

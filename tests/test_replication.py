@@ -37,7 +37,8 @@ def test_registry_matches_golden_digest():
         ]
         contained = [_vanishing(sub) for sub in c.scheme.contained]
         dump.append(
-            [c.case_id, list(c.factor_dims), list(c.degrees), c.expected, points, contained]
+            [c.case_id, list(c.space.factor_dims), list(c.degree.degrees), c.expected,
+             points, contained]
         )
     digest = hashlib.sha256(json.dumps(dump).encode()).hexdigest()
     assert digest == REGISTRY_DIGEST
@@ -47,7 +48,7 @@ def test_registry_size_and_coverage():
     cases = load_bundled_registry()
     assert len(cases) >= 20
     assert len({c.case_id for c in cases}) == len(cases)
-    degrees = {c.degrees for c in cases}
+    degrees = {c.degree.degrees for c in cases}
     # all three target bidegrees and their reductions appear
     assert {(3, 3), (3, 4), (4, 4), (2, 3), (3, 2), (3, 1), (2, 4)} <= degrees
 
@@ -84,8 +85,7 @@ def test_corrupted_fixture_reported():
     case = next(c for c in cases if c.case_id == "33-1x1-triple")
     bad_scheme = dataclasses.replace(case.scheme)
     bad_scheme.points = [FatPoint(p.multiplicity + 1, p.spec) for p in case.scheme.points]
-    bad = BaseCase(case.case_id, case.factor_dims, case.degrees,
-                   case.expected, bad_scheme, case.note)
+    bad = BaseCase(case.case_id, case.space, case.degree, case.expected, bad_scheme)
     report = run_basecases(cases=[bad])
     assert not report["passed"]
     assert report["failed"] == ["33-1x1-triple"]
