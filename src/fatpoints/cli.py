@@ -26,7 +26,7 @@ from .degeneration import (
 )
 from .engine import DimensionVerdict, PrimeFieldConfig, check_columns, dimension
 from .replication import run_basecases
-from .schemes import make_scheme, parse_scheme_type
+from .schemes import conditions_of_fat_point, make_scheme, parse_scheme_type
 from .secant import is_defective, secant_dim, theorem_hypotheses
 from .spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
 
@@ -71,10 +71,11 @@ def _system_from_flags(args):
     """The space, degree and scheme of --space, --deg and a --scheme type,
     where each --on-divisor FACTOR:INDEX:COUNT confines the next COUNT points
     (in scheme order) to the coordinate divisor {x_index = 0}.  The column
-    limit is checked before any point is listed."""
+    and row limits are checked before any point is listed."""
     space, degree = _parse_space(args.space), _parse_deg(args.deg)
-    check_columns(space, degree)
     profile = parse_scheme_type(args.scheme)
+    rows = sum(k * conditions_of_fat_point(a, space.ambient_dim()) for a, k in profile)
+    check_columns(space, degree, rows=rows)
     npoints = sum(count for _, count in profile)
     strata: list[CoordinateSubvariety | None] = []
     for spec in args.on_divisor or []:

@@ -222,7 +222,8 @@ def castelnuovo_bound_check(
     config: PrimeFieldConfig | None = None,
 ) -> dict:
     """dim L(X) <= dim L(Res) + dim L(Tr) at one shared draw of points,
-    together with vdim additivity and vdim <= dim on each side."""
+    together with vdim additivity and vdim <= dim, the vdims read off the
+    three certificates."""
     config = config or PrimeFieldConfig()
     pinned = _pin_scheme(space, scheme, config.prime, config.seed)
     rdeg, rscheme = residue(space, degree, pinned, divisor)
@@ -230,17 +231,13 @@ def castelnuovo_bound_check(
     cx = dimension(space, degree, pinned, config)
     cr = dimension(space, rdeg, rscheme, config)
     ct = dimension(tspace, tdeg, tscheme, config)
-    report = vdim_additivity_check(space, degree, scheme, divisor)
-    report.update(
-        {
-            "dim": cx.computed_dim,
-            "dim_residue": cr.computed_dim,
-            "dim_trace": ct.computed_dim,
-            "bound_holds": cx.computed_dim <= cr.computed_dim + ct.computed_dim,
-            "vdim_le_dim": report["vdim"] <= cx.computed_dim,
-        }
-    )
-    return report
+    vd, vr, vt = cx.virtual_dim, cr.virtual_dim, ct.virtual_dim
+    dx, dr, dt = cx.computed_dim, cr.computed_dim, ct.computed_dim
+    return {
+        "vdim": vd, "vdim_residue": vr, "vdim_trace": vt, "additive": vd == vr + vt,
+        "dim": dx, "dim_residue": dr, "dim_trace": dt,
+        "bound_holds": dx <= dr + dt, "vdim_le_dim": vd <= dx,
+    }
 
 
 # --- star configurations ------------------------------------------------

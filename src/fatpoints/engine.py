@@ -26,15 +26,16 @@ the kept columns use.
 
 The elimination (rank_profile) returns the column rank profile over F_p,
 the pivot columns in order; rank_fp is its length.  It is exact for every
-prime p < 2^31.  Matrices of more than four panels of 32 columns are
-eliminated blockwise.  A row-operation loop in int64 (one slice update per
-pivot) on a panel's leading rows, doubled until every column has a pivot,
-gives its pivots, row swaps and the inverse of its pivot block, and the
-rows below are updated by one float64 (BLAS) matrix product per chunk of
-rows.  The right factor of that product is split into 16-bit limbs, so
-with at most 32 inner terms every entry stays below 2^53 and the product
-is exact.  Updated entries are reduced mod p only when a panel reads them,
-and in full every eight panels.  Narrower matrices use the loop alone.
+prime p < 2^31.  One row-operation loop in int64 (_echelon, one slice
+update per pivot) makes every pivot.  Matrices of more than four panels of
+32 columns are eliminated blockwise: the loop runs Gauss-Jordan on a
+panel's leading rows, doubled until every column has a pivot, for its
+pivots, row swaps and the inverse of its pivot block; the rows below are
+updated by one float64 (BLAS) product per chunk of rows, on 16-bit limbs,
+so with at most 32 inner terms every entry stays below 2^53 and is exact.
+Updated entries are reduced mod p only when a panel reads them, and in
+full every eight panels.  The last columns, and narrower matrices, use the
+loop alone, clearing only the rows below each pivot.
 
 Points are drawn in order from one seeded stream, so the rows of the first
 k points of a scheme are a row prefix of its matrix.  The row rank profile
@@ -232,12 +233,16 @@ def check_columns(
     space: MultiProjectiveSpace,
     degree: Multidegree,
     contained: list[CoordinateSubvariety] | tuple[CoordinateSubvariety, ...] = (),
+    rows: int = 0,
 ) -> int:
     """The number of columns of the system's matrix, counted in closed form;
-    a ValueError past MAX_COLUMNS, before any monomial or point is listed."""
+    a ValueError past MAX_COLUMNS, or past 2 MAX_COLUMNS rows (the caller's
+    count), before any monomial or point is listed."""
     ncols = ideal_basis_size(space, degree, contained)
     if ncols > MAX_COLUMNS:
         raise ValueError(f"{ncols} columns exceeds the {MAX_COLUMNS} column limit")
+    if rows > 2 * MAX_COLUMNS:
+        raise ValueError(f"{rows} rows exceeds the {2 * MAX_COLUMNS} row limit")
     return ncols
 
 
@@ -266,7 +271,8 @@ def build_matrix(
     maxdeg = max(degree.degrees, default=0)
     if p <= maxdeg:
         raise ValueError("prime must exceed the maximum factor degree")
-    ncols = check_columns(space, degree, scheme.contained)
+    N = space.ambient_dim()
+    ncols = check_columns(space, degree, scheme.contained, scheme.conditions(N))
 
     # per factor, the factor monomials that the kept columns use, in basis
     # order: the columns are their product, or `take` of it where contained
@@ -284,7 +290,6 @@ def build_matrix(
             take = np.ravel_multi_index(index, [len(ms) for ms in monos])
     monos = [np.array(ms, dtype=np.int64).reshape(len(ms), c) for ms, c in zip(monos, counts)]
 
-    N = space.ambient_dim()
     points, charts, directions = draw_scheme_points(space, scheme, p, seed)
     Q, charts = np.array(points, dtype=np.int64), np.array(charts, dtype=np.intp)
     mults = [pt.multiplicity for pt in scheme.points]
@@ -353,7 +358,7 @@ def build_matrix(
 
 
 # Panel width, the row chunk of trailing updates and of build_matrix's
-# row assembly, the width up to which the unblocked loop alone is used
+# row assembly, the width up to which _echelon alone is used
 # (there the panel copies cost more than the matrix products save), and the
 # panels between full reductions of the trailing block.  _PANEL bounds the
 # inner dimension of every product in rank_fp, which keeps it exact in
@@ -379,13 +384,13 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
 
     Entries are reduced mod p; the input, of any memory layout, is not
     modified.  Matrices wider than _NARROW columns are eliminated in panels
-    of _PANEL columns.  One loop (_panel) gives a panel's pivots, its row
-    swaps, which are applied to A, and the inverse of its pivot block, which
-    solves the pivot rows to [I | U12]; the rows below, whose entries in the
-    pivot columns are X, get A22 += X (-U12), one float64 matrix product on
-    16-bit limbs per chunk of _CHUNK rows (see _mulmod).  A22 is reduced mod
-    p only where it is read next, and in full every _DELAY panels.  The last
-    _NARROW columns, and narrow matrices, use the unblocked loop alone.
+    of _PANEL columns.  _panel gives a panel's pivots, its row swaps, which
+    are applied to A, and the inverse of its pivot block, which solves the
+    pivot rows to [I | U12]; the rows below, whose entries in the pivot
+    columns are X, get A22 += X (-U12), one float64 matrix product on 16-bit
+    limbs per chunk of _CHUNK rows (see _mulmod).  A22 is reduced mod p only
+    where it is read next, and in full every _DELAY panels.  The last
+    _NARROW columns, and narrow matrices, go to _echelon alone.
     """
     if not 2 <= p < 2**31:
         raise ValueError(f"rank_profile needs 2 <= p < 2^31, got {p}")
@@ -416,15 +421,22 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
     return profile + [c + j for j in _echelon(A, p)[0]]
 
 
-def _echelon(A: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Reduce A (int64, entries in [0, p)) in place to row echelon form over
-    F_p, one vectorised row operation per pivot; int64 is exact for p < 2^31
-    since every product stays below 2^62.  Returns the pivot columns and
-    the row swaps made, in order."""
-    m, n = A.shape
+def _echelon(
+    A: np.ndarray, p: int, n: int | None = None
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Reduce A (int64, entries in [0, p)) in place over F_p, with pivots in
+    its first n columns (all by default), one vectorised row operation per
+    pivot; int64 is exact for p < 2^31, every product being below 2^62.
+    Returns the pivot columns and the row swaps, in order.  Each pivot
+    clears its column in the rows below it (row echelon form), or in every
+    row (Gauss-Jordan) when the columns from n on record the rows as
+    combinations of pivot rows; the pivot rows then end as [I | inverse of
+    the pivot block] there."""
+    m, width = A.shape
+    n = width if n is None else n
     pivots, swaps = [], []
-    r = 0
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
         nz = np.nonzero(A[r:, c])[0]
@@ -434,45 +446,33 @@ def _echelon(A: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
         if piv != r:
             A[[r, piv], c:] = A[[piv, r], c:]
             swaps.append((r, piv))
-        inv = pow(int(A[r, c]), -1, p)
-        A[r, c:] = A[r, c:] * inv % p
+        if n < width:
+            A[r, n + r] = 1  # row r becomes the r-th pivot row
+            top, end = 0, n + r + 1  # row r is 0 left of column c and from end on
+        else:
+            top, end = r + 1, width
+        u = A[r, c:end] * pow(int(A[r, c]), -1, p) % p
         # a row with 0 in column c gets x - 0 * u = x, already in [0, p)
-        A[r + 1:, c:] = (A[r + 1:, c:] - A[r + 1:, c, None] * A[r, c:]) % p
+        A[top:, c:end] = (A[top:, c:end] - A[top:, c, None] * u) % p
+        A[r, c:end] = u
         pivots.append(c)
-        r += 1
     return pivots, swaps
 
 
 def _panel(P: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]], np.ndarray]:
     """The pivots and row swaps of _echelon(P.copy(), p) and the inverse of
-    its pivot block (pivot rows, swaps applied, in pivot columns), from one
-    Gauss-Jordan loop on [P[:b] | 0]: rows below a pivot see _echelon's
-    operations, and the n extra columns (not b: at most n rows are pivots)
-    record rows as combinations of pivot rows, which end as [I | inverse].
-    b = _PANEL, 2 _PANEL, ..., up to the first b where every column has a
-    pivot or that covers P: exact, as a row of P[:b] is reduced only by
-    pivot rows in P[:b], so _echelon chooses as on P until a column finds
-    no pivot there, and a full set of pivots leaves none to decide below."""
+    its pivot block (pivot rows, swaps applied, in pivot columns), from
+    _echelon on [P[:b] | 0] with n record columns (not b: at most n rows
+    are pivots).  b = _PANEL, 2 _PANEL, ..., up to the first b where every
+    column has a pivot or that covers P: exact, as a row of P[:b] is
+    reduced only by pivot rows in P[:b], so _echelon chooses as on P until
+    a column finds no pivot there, and a full set of pivots leaves none to
+    decide below."""
     m, n = P.shape
     b = _PANEL
     while True:
         G = np.pad(P[:b], [(0, 0), (0, n)])
-        pivots, swaps = [], []
-        for c in range(n):
-            r = len(pivots)
-            nz = np.nonzero(G[r:, c])[0]
-            if nz.size == 0:
-                continue
-            piv = r + int(nz[0])
-            if piv != r:
-                G[[r, piv], c:] = G[[piv, r], c:]
-                swaps.append((r, piv))
-            G[r, n + r] = 1  # row r becomes the r-th pivot row
-            end = n + r + 1  # row r is 0 left of column c and from end on
-            u = G[r, c:end] * pow(int(G[r, c]), -1, p) % p
-            G[:, c:end] = (G[:, c:end] - G[:, c, None] * u) % p
-            G[r, c:end] = u
-            pivots.append(c)
+        pivots, swaps = _echelon(G, p, n)
         if len(pivots) == n or b >= m:
             return pivots, swaps, G[: len(pivots), n : n + len(pivots)]
         b *= 2

@@ -19,7 +19,7 @@ from .engine import (
     dimensions,
     status_matches,
 )
-from .schemes import make_scheme
+from .schemes import conditions_of_fat_point, make_scheme
 from .spaces import Multidegree, MultiProjectiveSpace, basis_size
 
 
@@ -70,7 +70,8 @@ def secant_dims(
     one dimensions() call answers every r."""
     if any(r < 1 for r in rs):
         raise ValueError("r must be >= 1")
-    L = check_columns(space, degree)  # before the points are listed
+    rows = max(rs, default=0) * conditions_of_fat_point(2, space.ambient_dim())
+    L = check_columns(space, degree, rows=rows)  # before the points are listed
     scheme = make_scheme([(2, max(rs, default=0))])
     verdicts = []
     for r, cert in zip(rs, dimensions(space, degree, scheme, rs, config)):

@@ -267,26 +267,35 @@ def test_on_divisor_overflow_is_usage_error(capsys, spec):
 
 
 _OVER_LIMIT = ("--space", "3x3", "--deg", "30,30")  # 29767936 columns
+_SMALL = ("--space", "1x1", "--deg", "3,3")  # 16 columns
 
 
-@pytest.mark.parametrize("argv", [
-    ("star", "--n", "29"),
-    ("star", "--n", "3000"),
-    ("defective", *_OVER_LIMIT),
-    ("hypotheses", *_OVER_LIMIT),
-    ("secant", *_OVER_LIMIT, "--r", "10000000"),
-    ("dim", *_OVER_LIMIT, "--scheme", "2^100000000"),
-    ("castelnuovo", *_OVER_LIMIT, "--scheme", "2^100000000", "--divisor", "0:0"),
-], ids=["star-29", "star-3000", "defective", "hypotheses", "secant", "dim", "castelnuovo"])
-def test_star_past_the_column_limit_is_refused_at_once(argv):
+@pytest.mark.parametrize("argv, limit", [
+    (("star", "--n", "29"), b"column limit"),
+    (("star", "--n", "3000"), b"column limit"),
+    (("defective", *_OVER_LIMIT), b"column limit"),
+    (("hypotheses", *_OVER_LIMIT), b"column limit"),
+    (("secant", *_OVER_LIMIT, "--r", "10000000"), b"column limit"),
+    (("dim", *_OVER_LIMIT, "--scheme", "2^100000000"), b"column limit"),
+    (("castelnuovo", *_OVER_LIMIT, "--scheme", "2^100000000", "--divisor", "0:0"),
+     b"column limit"),
+    (("secant", "--space", "1", "--deg", "2", "--r", "30000000"), b"8192 row limit"),
+    (("dim", *_SMALL, "--scheme", "2^30000000"), b"8192 row limit"),
+    (("castelnuovo", *_SMALL, "--scheme", "2^30000000", "--divisor", "0:0"),
+     b"8192 row limit"),
+], ids=["star-29", "star-3000", "defective", "hypotheses", "secant", "dim", "castelnuovo",
+        "secant-rows", "dim-rows", "castelnuovo-rows"])
+def test_star_past_the_column_limit_is_refused_at_once(argv, limit):
     # the column count is checked before any point is listed or drawn: the
     # cubics on P^28 have 4495 columns, and the star's span check (about
     # 2^30 subset ranks) must not start; the other systems would list or
-    # draw millions of points
+    # draw millions of points.  So is the row count, from the scheme type
+    # or the number of secant points: the last three systems are small in
+    # columns, but would list tens of millions of points
     proc = subprocess.run([sys.executable, "-m", "fatpoints.cli", *argv],
                           capture_output=True, env=_module_env(), timeout=60)
     assert proc.returncode == 64, proc.stderr
-    assert b"column limit" in proc.stderr and proc.stdout == b""
+    assert limit in proc.stderr and proc.stdout == b""
 
 
 def test_damaged_cache_line_is_skipped(tmp_path, capsys):

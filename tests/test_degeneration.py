@@ -101,6 +101,9 @@ def test_castelnuovo_bound():
     assert rep["bound_holds"]
     assert rep["additive"]
     assert rep["vdim_le_dim"]
+    # the vdims read off the certificates are those of the unpinned split
+    vdims = vdim_additivity_check(sp, dg, scheme, div)
+    assert {key: rep[key] for key in vdims} == vdims
 
 
 def test_star_span_exhaustive():

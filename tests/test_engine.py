@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fatpoints.engine import (
     ALTERNATE_PRIME,
     DEFAULT_PRIME,
+    MAX_COLUMNS,
     Certificate,
     DimensionVerdict,
     PrimeFieldConfig,
@@ -528,6 +529,13 @@ def test_column_limit():
             Multidegree((8, 8)),
             make_scheme("2"),
         )
+    # and the row limit: 2 MAX_COLUMNS rows are built, one double point more
+    # is refused
+    sp, dg = MultiProjectiveSpace((1,)), Multidegree((2,))
+    mat = build_matrix(sp, dg, make_scheme([(2, MAX_COLUMNS)]))
+    assert mat.array.shape == (2 * MAX_COLUMNS, 3)
+    with pytest.raises(ValueError, match="row limit"):
+        build_matrix(sp, dg, make_scheme([(2, MAX_COLUMNS + 1)]))
 
 
 def test_exact_dimension_matches_engine():
