@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from math import comb
 
 from . import __version__, arith
 from .degeneration import (
@@ -212,11 +213,14 @@ def _cmd_verify_arith(args, config):
 
 
 def _cmd_star(args, config):
-    # the cubics on the hyperplane P^(n-1) are the widest system: checked
-    # first, a star past the column limit is refused before its (n+1)^2
-    # coordinates are drawn or the span check's 2^(n+1) subset ranks start
+    # the cubics doubled along the star's binom(n+1, 2) points of the
+    # hyperplane P^(n-1), n conditions each, are the widest and tallest
+    # system: checked first, a star past the column or row limit is refused
+    # before its (n+1)^2 coordinates are drawn or the span check's 2^(n+1)
+    # subset ranks start
     if args.n >= 2:  # star_configuration refuses a smaller n
-        check_columns(MultiProjectiveSpace((args.n - 1,)), Multidegree((3,)))
+        check_columns(MultiProjectiveSpace((args.n - 1,)), Multidegree((3,)),
+                      rows=comb(args.n + 1, 2) * args.n)
     star = star_configuration(args.n, config.prime, config.seed)
     certs = star_nonspeciality_check(star, config)
     span_ok = star_span_check(star)

@@ -22,7 +22,9 @@ factors f of D_f[q, beta_f, e_f]: the rows of a point are Kronecker
 products of rows of per-factor tables, each in the point's own chart.
 build_matrix makes the tables of the points of one multiplicity, _CHUNK
 rows' worth at a time, over the orders they need and the factor monomials
-the kept columns use.
+the kept columns use.  It stores the conditions as columns: the matrix is
+the transpose of a C-contiguous (columns, rows) array, the layout in which
+dimensions() eliminates it.
 
 The elimination (rank_profile) returns the column rank profile over F_p,
 the pivot columns in order; rank_fp is its length.  It is exact for every
@@ -41,7 +43,9 @@ Points are drawn in order from one seeded stream, so the rows of the first
 k points of a scheme are a row prefix of its matrix.  The row rank profile
 (the column rank profile of the transpose) gives the rank of every such
 prefix from one elimination: dimensions() certifies several point prefixes
-of one scheme with one matrix per attempt.  secant.secant_dims asks it for
+of one scheme with one matrix per attempt, which it eliminates in place
+(_rank_profile), so an attempt holds one int64 copy of its matrix.
+secant.secant_dims asks it for
 every r of one draw of double points (is_defective, secant_dim and verify_ah
 go through it), and theorem_hypotheses asks it once per fat-point head.
 """
@@ -294,7 +298,9 @@ def build_matrix(
     Q, charts = np.array(points, dtype=np.int64), np.array(charts, dtype=np.intp)
     mults = [pt.multiplicity for pt in scheme.points]
     starts = np.cumsum([0] + [conditions_of_fat_point(a, N) for a in mults])
-    A = np.empty((starts[-1] + len(scheme.jets), ncols), dtype=np.int64)
+    # conditions as columns: A.T is C-contiguous, the layout dimensions()
+    # eliminates in place
+    A = np.empty((ncols, starts[-1] + len(scheme.jets)), dtype=np.int64).T
     aff = np.cumsum((0,) + space.factor_dims)  # each factor's affine coordinates
 
     def rows(pts, betas):
@@ -383,18 +389,27 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
     number of its entries below k.
 
     Entries are reduced mod p; the input, of any memory layout, is not
-    modified.  Matrices wider than _NARROW columns are eliminated in panels
-    of _PANEL columns.  _panel gives a panel's pivots, its row swaps, which
-    are applied to A, and the inverse of its pivot block, which solves the
-    pivot rows to [I | U12]; the rows below, whose entries in the pivot
-    columns are X, get A22 += X (-U12), one float64 matrix product on 16-bit
-    limbs per chunk of _CHUNK rows (see _mulmod).  A22 is reduced mod p only
-    where it is read next, and in full every _DELAY panels.  The last
-    _NARROW columns, and narrow matrices, go to _echelon alone.
+    modified: the elimination (_rank_profile, in place) runs on a
+    C-contiguous copy.  dimensions() skips that copy, as its matrices are
+    built conditions-as-columns and used once.  Matrices wider than _NARROW
+    columns are eliminated in panels of _PANEL columns.  _panel gives a
+    panel's pivots, its row swaps, which are applied to A, and the inverse
+    of its pivot block, which solves the pivot rows to [I | U12]; the rows
+    below, whose entries in the pivot columns are X, get A22 += X (-U12),
+    one float64 matrix product on 16-bit limbs per chunk of _CHUNK rows (see
+    _mulmod).  A22 is reduced mod p only where it is read next, and in full
+    every _DELAY panels.  The last _NARROW columns, and narrow matrices, go
+    to _echelon alone.
     """
     if not 2 <= p < 2**31:
         raise ValueError(f"rank_profile needs 2 <= p < 2^31, got {p}")
-    A = np.mod(np.asarray(matrix, dtype=np.int64), p, order="C")
+    return _rank_profile(np.array(matrix, dtype=np.int64, order="C"), p)
+
+
+def _rank_profile(A: np.ndarray, p: int) -> list[int]:
+    """rank_profile of A, a C-contiguous int64 array, which it reduces mod
+    p and eliminates in place: A is overwritten."""
+    np.mod(A, p, out=A)
     m, n = A.shape
     profile: list[int] = []
     r = c = 0
@@ -520,8 +535,10 @@ def dimensions(
     Points are drawn in order, each from its own draws of the seeded
     stream, so the rows of the first k points are a row prefix of the whole
     scheme's matrix at the same (prime, seed).  Each attempt builds that
-    matrix once, or only the longest prefix still open, and reads the rank
-    of every open prefix off its row rank profile; each prefix keeps its own
+    matrix once, or only the longest prefix still open, eliminates it in
+    place (conditions as columns, as build_matrix lays it out), and reads
+    the rank of every open prefix off its row rank profile; so one copy of
+    the matrix is alive per attempt.  Each prefix keeps its own
     runs and stops at its own first certifying attempt.  Jet rows come last,
     so a scheme with jets has no proper prefixes."""
     config = config or PrimeFieldConfig()
@@ -557,7 +574,8 @@ def dimensions(
         # each open prefix's matrix is a row prefix of the longest one's
         longest = max(todo, key=lambda i: rows[i])
         mat = build_matrix(space, degree, subs[longest], prime=p, seed=sd)
-        profile = rank_profile(mat.array.T, p)
+        profile = _rank_profile(mat.array.T, p)
+        del mat  # not alive while the next attempt builds its matrix
         for i in todo:
             runs[i].append((p, sd, cols - bisect_left(profile, rows[i])))
 

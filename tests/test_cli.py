@@ -298,6 +298,20 @@ def test_star_past_the_column_limit_is_refused_at_once(argv, limit):
     assert limit in proc.stderr and proc.stdout == b""
 
 
+@pytest.mark.parametrize("n", [26, 27, 28])
+def test_star_past_the_row_limit_is_refused_before_it_is_drawn(capsys, monkeypatch, n):
+    # the doubled cubics on P^(n-1) fit the column limit up to n = 28 but
+    # have binom(n+1, 2) * n > 8192 rows from n = 26 on: refused before the
+    # star is drawn or any of its systems is certified
+    def drawn(*args, **kwargs):
+        raise AssertionError("the star was drawn")
+
+    monkeypatch.setattr(cli, "star_configuration", drawn)
+    code, out, err = run_cli(capsys, "star", "--n", str(n))
+    assert code == 64 and out == ""
+    assert "8192 row limit" in err
+
+
 def test_damaged_cache_line_is_skipped(tmp_path, capsys):
     # cut short, not UTF-8, and valid JSON that is not an object
     for i, damage in enumerate(

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from bisect import bisect_left
 from math import comb, perm
 
@@ -36,6 +37,7 @@ from fatpoints.schemes import (
     make_scheme,
     virtual_dim,
 )
+from fatpoints.secant import is_defective
 from fatpoints.spaces import (
     CoordinateSubvariety,
     Multidegree,
@@ -192,6 +194,7 @@ def test_rank_profile_planted(p):
         A = np.ascontiguousarray(M.T)
         row_profile = rank_profile(A.T, p)
         assert row_profile == planted and rank_fp(A, p) == k
+        assert np.array_equal(A, M.T)  # the column-major input is not modified
         prefix = [bisect_left(row_profile, i) for i in range(n + 1)]
         assert all(0 <= b - a <= 1 for a, b in zip(prefix, prefix[1:]))
 
@@ -230,6 +233,23 @@ def test_panel_pivots_match_echelon(p):
         assert np.array_equal(_mulmod_int64(inv, block, p), np.eye(len(pivots)))
 
 
+def test_an_attempt_holds_one_copy_of_its_matrix():
+    # the widest main-theorem system, P^3 x P^3 in degree (4, 4): dimensions()
+    # eliminates the built matrix in place, so its peak stays well below two
+    # copies of the r_high matrix (the second run, after imports and caches)
+    sp, dg = MultiProjectiveSpace((3, 3)), Multidegree((4, 4))
+    is_defective(sp, dg)
+    tracemalloc.start()
+    try:
+        report = is_defective(sp, dg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.certified_nondefective
+    cert = report.high
+    assert peak < 1.75 * cert.rows * cert.cols * 8, peak / (cert.rows * cert.cols * 8)
+
+
 def test_prefix_ranks_match_exact_oracle():
     # the systems of test_prime_field_rank_matches_exact_oracle: the rank of
     # every point prefix, read off one row rank profile of the whole matrix
@@ -237,6 +257,8 @@ def test_prefix_ranks_match_exact_oracle():
     for _ in range(100):
         space, degree, scheme = _random_pinned_instance(rng)
         mat = build_matrix(space, degree, scheme, prime=DEFAULT_PRIME, seed=0)
+        # built conditions-as-columns: the layout dimensions() eliminates
+        assert mat.array.T.flags.c_contiguous
         profile = rank_profile(mat.array.T, DEFAULT_PRIME)
         ranks = []
         for k in range(1, len(scheme.points) + 1):
