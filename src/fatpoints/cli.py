@@ -11,8 +11,10 @@ an append-only JSONL file when already computed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import mmap
 import os
 import sys
 from math import comb
@@ -270,6 +272,12 @@ def _request_key(args) -> str:
 
 
 def _cache_lookup(path: str, key: str):
+    """The last valid record under `key` in the cache file at `path`, or None
+    for a missing or empty file or no such record.  Every record
+    _cache_append writes holds its key verbatim, so the file is mapped
+    read-only and searched for the key's bytes, and only the line around
+    each occurrence is parsed.  A damaged line (cut short, not UTF-8, not an
+    object, or without a record's fields) is skipped."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -277,23 +285,27 @@ def _cache_lookup(path: str, key: str):
     hit = None
     needle = key.encode()
     with fh:
-        for line in fh:
-            # every record _cache_append writes holds its key verbatim, so
-            # only a line that contains it can be a hit
-            if needle not in line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue  # a damaged line: cut short, or not UTF-8
-            # a hit must be a record as _cache_append writes it
-            if (
-                isinstance(rec, dict) and rec.get("key") == key
-                and isinstance(rec.get("result"), dict)
-                and isinstance(rec.get("text"), str)
-                and isinstance(rec.get("exit"), int)
-            ):
-                hit = rec
+        if os.fstat(fh.fileno()).st_size == 0:
+            return None  # mmap refuses an empty file
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            at = mm.find(needle)
+            while at >= 0:
+                start = mm.rfind(b"\n", 0, at) + 1
+                end = mm.find(b"\n", at) + 1 or len(mm)
+                # the search goes on after this line, so no line is parsed twice
+                at = mm.find(needle, end)
+                try:
+                    rec = json.loads(mm[start:end])
+                except ValueError:
+                    continue  # a damaged line: cut short, or not UTF-8
+                # a hit must be a record as _cache_append writes it
+                if (
+                    isinstance(rec, dict) and rec.get("key") == key
+                    and isinstance(rec.get("result"), dict)
+                    and isinstance(rec.get("text"), str)
+                    and isinstance(rec.get("exit"), int)
+                ):
+                    hit = rec
     return hit
 
 
@@ -330,7 +342,10 @@ def _add_system_flags(sp, scheme=True):
         )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built at the first call and shared by every later
+    one in the process; `main` only parses with it."""
     parser = _Parser(prog="fatpoints", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fatpoints import __version__, cli
 from fatpoints.cli import main
@@ -218,6 +220,116 @@ def test_cache_lookup_parses_only_lines_with_the_key(tmp_path):
     cli._cache_append(str(cache), record(key, "second", 2))
     assert cli._cache_lookup(str(cache), key) == record(key, "second", 2)
     assert cli._cache_lookup(str(cache), other) == record(other, "later")
+
+
+def _reference_cache_lookup(path: str, key: str):
+    """`_cache_lookup` as a loop over every line of the file: the reference
+    the mapped search must agree with."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    hit = None
+    needle = key.encode()
+    with fh:
+        for line in fh:
+            if needle not in line:
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                continue
+            if (
+                isinstance(rec, dict) and rec.get("key") == key
+                and isinstance(rec.get("result"), dict)
+                and isinstance(rec.get("text"), str)
+                and isinstance(rec.get("exit"), int)
+            ):
+                hit = rec
+    return hit
+
+
+@st.composite
+def _cache_files(draw):
+    """(keys, file bytes): records under two or three keys, some of whose
+    texts mention another key, among damaged and empty lines."""
+    # short keys also occur inside other keys and inside the field names
+    keys = draw(st.lists(st.text("0123456789abcdef", min_size=1, max_size=64),
+                         min_size=2, max_size=3, unique=True))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        key = draw(st.sampled_from(keys))
+        code = draw(st.integers(0, 3))
+        text = draw(st.sampled_from(["t", *(f"mentions {k}" for k in keys)]))
+        rec = json.dumps({"key": key, "result": {"exit": code}, "text": text,
+                          "exit": code}, sort_keys=True).encode()
+        kind = draw(st.sampled_from(
+            ["record", "cut", "not-utf8", "list", "fieldless", "empty"]))
+        if kind == "record":
+            lines.append(rec)
+        elif kind == "cut":
+            lines.append(rec[:draw(st.integers(0, len(rec) - 1))])
+        elif kind == "not-utf8":
+            at = draw(st.integers(0, len(rec)))
+            lines.append(rec[:at] + b"\xff" + rec[at:])
+        elif kind == "list":
+            lines.append(json.dumps([key, text]).encode())
+        elif kind == "fieldless":
+            fields = draw(st.sampled_from(
+                [{}, {"exit": code}, {"result": {}, "text": text},
+                 {"result": {}, "text": text, "exit": str(code)}]))
+            lines.append(json.dumps(dict(fields, key=key)).encode())
+        else:
+            lines.append(b"")
+    blob = b"\n".join(lines)
+    if lines and draw(st.booleans()):
+        blob += b"\n"
+    return keys, blob
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cache_files())
+@example((["ab" * 32, "cd" * 32], b""))
+def test_cache_lookup_matches_the_line_loop(tmp_path_factory, case):
+    keys, blob = case
+    cache = tmp_path_factory.getbasetemp() / "lookup.jsonl"
+    cache.write_bytes(blob)
+    for key in [*keys, "f" * 65]:
+        assert cli._cache_lookup(str(cache), key) == _reference_cache_lookup(
+            str(cache), key)
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # calls that leave the parser in different states: a usage error, --help
+    # (which exits from inside parse_args), and an appended option given and
+    # then left out; each must print what a fresh process prints
+    built = []
+    real_init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    run_cli(capsys, "verify-arith", "--bound", "0")
+    assert len(built) == 9  # the parser and its eight subcommands
+    run_cli(capsys, "verify-arith", "--bound", "0")
+    assert len(built) == 9
+
+    monkeypatch.setenv("COLUMNS", "80")  # the width --help wraps at
+    env = _module_env()
+    dim = ("dim", "--space", "2", "--deg", "2", "--scheme", "1^4")
+    for argv in (
+        ("dim", "--space", "1x1", "--deg", "3,3"),
+        ("--help",),
+        (*dim, "--on-divisor", "0:0:2", "--on-divisor", "0:0:2"),
+        dim,
+    ):
+        fresh = subprocess.run([sys.executable, "-m", "fatpoints.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert len(built) == 9
 
 
 def test_basecases_filter_cli(capsys):
