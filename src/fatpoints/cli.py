@@ -218,8 +218,7 @@ def _cmd_star(args, config):
     # the cubics doubled along the star's binom(n+1, 2) points of the
     # hyperplane P^(n-1), n conditions each, are the widest and tallest
     # system: checked first, a star past the column or row limit is refused
-    # before its (n+1)^2 coordinates are drawn or the span check's 2^(n+1)
-    # subset ranks start
+    # before its (n+1)^2 coordinates are drawn
     if args.n >= 2:  # star_configuration refuses a smaller n
         check_columns(MultiProjectiveSpace((args.n - 1,)), Multidegree((3,)),
                       rows=comb(args.n + 1, 2) * args.n)

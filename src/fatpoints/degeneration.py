@@ -10,7 +10,7 @@ and dim L(X) <= dim Res + dim Tr holds at any fixed set of points.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -251,7 +251,8 @@ class StarConfiguration:
     n: int
     prime: int
     hyperplane: tuple[int, ...]
-    points: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+    anchors: list[tuple[int, ...]]
+    points: dict[tuple[int, int], tuple[int, ...]]
 
     def embedded_points(self) -> list[tuple[int, ...]]:
         """The star points as points of the hyperplane P^{n-1}: drop one
@@ -265,6 +266,9 @@ class StarConfiguration:
 
 
 def star_configuration(n: int, prime: int, seed: int) -> StarConfiguration:
+    """Draw anchors and hyperplane until no anchor lies on the hyperplane
+    and no star point is zero (two proportional anchors); a ValueError
+    after 64 draws."""
     if n < 2:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)
@@ -274,36 +278,44 @@ def star_configuration(n: int, prime: int, seed: int) -> StarConfiguration:
         ]
         e = tuple(rng.randrange(prime) for _ in range(n + 1))
         pairing = [sum(a * b for a, b in zip(e, p)) % prime for p in anchors]
-        if all(pairing):
-            break
-    else:
-        raise RuntimeError("could not draw anchors off the hyperplane")
-    star = StarConfiguration(n, prime, e)
-    for i, j in combinations(range(n + 1), 2):
         # the line through anchors i, j meets {e.x = 0} at
         # (e.p_j) p_i - (e.p_i) p_j
-        t = tuple(
-            (pairing[j] * a - pairing[i] * b) % prime
-            for a, b in zip(anchors[i], anchors[j])
-        )
-        if not any(t):
-            raise RuntimeError("degenerate star point")
-        star.points[(i, j)] = t
-    return star
+        points = {
+            (i, j): tuple(
+                (pairing[j] * a - pairing[i] * b) % prime
+                for a, b in zip(anchors[i], anchors[j])
+            )
+            for i, j in combinations(range(n + 1), 2)
+        }
+        if all(pairing) and all(any(t) for t in points.values()):
+            return StarConfiguration(n, prime, e, anchors, points)
+    raise ValueError(f"no star in P^{n} over F_{prime}: 64 degenerate draws")
 
 
 def star_span_check(star: StarConfiguration) -> bool:
     """Every subset I of anchors with |I| = s >= 3 gives points t_ij,
-    i,j in I, spanning at most a P^{s-2}."""
-    n1 = star.n + 1
-    for size in range(3, n1 + 1):
-        for subset in combinations(range(n1), size):
-            rows = [
-                star.points[(i, j)]
-                for i, j in combinations(subset, 2)
-            ]
-            if rank_fp(rows, star.prime) > size - 1:
-                return False
+    i,j in I, spanning at most a P^{s-2}.
+
+    Checked once per star point, not per subset.  No anchor p_i lies on the
+    hyperplane (e.p_i != 0); each t_ij lies on it (e.t_ij = 0) and on the
+    line of p_i, p_j: they are not proportional, and [p_i; p_j; t_ij] has
+    rank <= 2.  Then every t_ij with i, j in I lies in span{p_i : i in I}
+    meet e^perp.  That span has vector dimension at most s and is not
+    inside e^perp, so the meet has vector dimension at most s - 1, and the
+    t_ij span at most a P^{s-2}.  So every star this accepts has the subset
+    property.  The converse fails for n = 2, where any three points of the
+    hyperplane have it."""
+    p, e, anchors = star.prime, star.hyperplane, star.anchors
+    pairing = [sum(a * b for a, b in zip(e, q)) % p for q in anchors]
+    if not all(pairing):
+        return False
+    for i, j in combinations(range(star.n + 1), 2):
+        p_i, p_j, t = anchors[i], anchors[j], star.points[(i, j)]
+        # as e.p_i != 0, p_j is proportional to p_i iff (e.p_i) p_j = (e.p_j) p_i
+        if not any((pairing[i] * b - pairing[j] * a) % p for a, b in zip(p_i, p_j)):
+            return False
+        if sum(a * b for a, b in zip(e, t)) % p or rank_fp([p_i, p_j, t], p) > 2:
+            return False
     return True
 
 
@@ -349,8 +361,9 @@ def collision_scheme(
     general 2-fat points.
 
     The jet directions are the pairwise differences of N+1 random tangent
-    vectors mod DEFAULT_PRIME, the directions actually arising from a
-    collision.
+    vectors, the directions actually arising from a collision.  They stay
+    integers, so that each attempt reduces them at its own prime and they
+    are pairwise differences there too: d_ij + d_jk = d_ik mod every prime.
     """
     N = space.ambient_dim()
     points = [FatPoint(3)] + [FatPoint(2) for _ in range(extra_doubles)]
@@ -360,7 +373,7 @@ def collision_scheme(
         tuple(rng.randrange(DEFAULT_PRIME) for _ in range(N)) for _ in range(N + 1)
     ]
     for i, j in combinations(range(N + 1), 2):
-        d = tuple((a - b) % DEFAULT_PRIME for a, b in zip(vecs[i], vecs[j]))
+        d = tuple(a - b for a, b in zip(vecs[i], vecs[j]))
         jets.append(JetCondition(0, 3, d))
     return FatPointScheme(points, jets)
 

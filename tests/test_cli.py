@@ -351,6 +351,19 @@ def test_star_cli(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("star", "--n", "2", "--prime", "5", "--seed", "10"), 0),
+    (("star", "--n", "3", "--prime", "7", "--seed", "3"), 0),
+    (("star", "--n", "3", "--prime", "2"), 64),
+], ids=["n2-p5", "n3-p7", "n3-p2"])
+def test_star_at_small_primes_exits_without_a_traceback(capsys, argv, want):
+    # in the first two, the first draw with no anchor on the hyperplane has
+    # two proportional anchors, so a zero star point, and is drawn again;
+    # F_2 is refused as a usage error, not with a traceback
+    code, _, err = run_cli(capsys, *argv)
+    assert code == want, err
+
+
 def test_hypotheses_cli(capsys):
     code, out, _ = run_cli(capsys, "hypotheses", "--space", "2x1", "--deg", "3,3")
     assert code == 0 and "hold" in out
@@ -399,8 +412,7 @@ _SMALL = ("--space", "1x1", "--deg", "3,3")  # 16 columns
         "secant-rows", "dim-rows", "castelnuovo-rows"])
 def test_star_past_the_column_limit_is_refused_at_once(argv, limit):
     # the column count is checked before any point is listed or drawn: the
-    # cubics on P^28 have 4495 columns, and the star's span check (about
-    # 2^30 subset ranks) must not start; the other systems would list or
+    # cubics on P^28 have 4495 columns; the other systems would list or
     # draw millions of points.  So is the row count, from the scheme type
     # or the number of secant points: the last three systems are small in
     # columns, but would list tens of millions of points

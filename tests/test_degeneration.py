@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +23,8 @@ from fatpoints.engine import (
     DEFAULT_PRIME,
     PrimeFieldConfig,
     dimension,
+    draw_scheme_points,
+    rank_fp,
 )
 from fatpoints.schemes import make_scheme, virtual_dim
 from fatpoints.spaces import Multidegree, MultiProjectiveSpace
@@ -106,10 +110,97 @@ def test_castelnuovo_bound():
     assert {key: rep[key] for key in vdims} == vdims
 
 
+def _subset_span_check(star):
+    """The exhaustive reference: every subset I of anchors, |I| = s >= 3,
+    gives star points spanning at most a P^{s-2} (about 2^(n+1) ranks)."""
+    n1 = star.n + 1
+    for size in range(3, n1 + 1):
+        for subset in combinations(range(n1), size):
+            rows = [star.points[(i, j)] for i, j in combinations(subset, 2)]
+            if rank_fp(rows, star.prime) > size - 1:
+                return False
+    return True
+
+
+def _star_point(e, u, v, p):
+    """(e.v) u - (e.u) v: where the line of u, v meets the hyperplane, or
+    for a v off it, u projected along v onto it."""
+    eu, ev = (sum(a * b for a, b in zip(e, q)) % p for q in (u, v))
+    return tuple((ev * a - eu * b) % p for a, b in zip(u, v))
+
+
+def _tampered(star, rng):
+    """Copies of the star that the check must reject: one point t_ij moved
+    off the hyperplane; one moved within it, off the line of p_i, p_j;
+    three anchors made proportional, their points general on the
+    hyperplane; one anchor moved onto the hyperplane.  The last two keep
+    every other point on its line."""
+    p, e, anchors = star.prime, star.hyperplane, list(star.anchors)
+    (i, j), t = rng.choice(sorted(star.points.items()))
+    p_i, p_j = anchors[i], anchors[j]
+    lam = rng.randrange(1, p)
+    # p_i is off the hyperplane, so t + lam p_i is too
+    off_plane = tuple((a + lam * b) % p for a, b in zip(t, p_i))
+    w = p_i
+    while rank_fp([p_i, p_j, w], p) < 3:
+        w = _star_point(e, [rng.randrange(p) for _ in e], p_i, p)
+    off_line = tuple((a + lam * b) % p for a, b in zip(t, w))
+    out = [replace(star, points={**star.points, (i, j): moved})
+           for moved in (off_plane, off_line)]
+
+    def on_lines(anchors):
+        return {(a, b): _star_point(e, anchors[a], anchors[b], p)
+                for a, b in combinations(range(star.n + 1), 2)}
+
+    prop = [tuple(c * a % p for a in anchors[0]) for c in (1, 2, 3)] + anchors[3:]
+    general = {ab: _star_point(e, [rng.randrange(p) for _ in e], prop[0], p)
+               for ab in combinations(range(3), 2)}
+    out.append(replace(star, anchors=prop, points={**on_lines(prop), **general}))
+    flat = [_star_point(e, anchors[0], anchors[1], p)] + anchors[1:]
+    out.append(replace(star, anchors=flat, points=on_lines(flat)))
+    return out
+
+
 def test_star_span_exhaustive():
-    for n in range(2, 7):
-        star = star_configuration(n, DEFAULT_PRIME, seed=n)
-        assert star_span_check(star), n
+    # the per-point check against the subset reference: both accept every
+    # drawn star, the per-point check rejects every tampered one, and where
+    # it accepts, so does the reference
+    rng = random.Random(5)
+    for n in range(2, 8):
+        for seed in range(3):
+            star = star_configuration(n, DEFAULT_PRIME, seed)
+            assert star_span_check(star) and _subset_span_check(star), (n, seed)
+            for bad in _tampered(star, rng):
+                assert not star_span_check(bad), (n, seed)
+            # a point moved along its own line is still the same point
+            (i, j), t = rng.choice(sorted(star.points.items()))
+            lam = rng.randrange(2, DEFAULT_PRIME)
+            scaled = replace(star, points={
+                **star.points, (i, j): tuple(lam * a % DEFAULT_PRIME for a in t)})
+            assert star_span_check(scaled) and _subset_span_check(scaled), (n, seed)
+
+
+def test_star_draw_gives_up_with_a_value_error():
+    # over F_2, all 21 anchors of P^20 must pair to 1 with the hyperplane:
+    # about one draw in 2^21 does
+    with pytest.raises(ValueError, match="64 degenerate draws"):
+        star_configuration(20, 2, 0)
+
+
+def test_collision_directions_are_pairwise_differences_at_every_prime():
+    # d_ij + d_jk = d_ik for every triple, at each attempt's prime
+    sp = MultiProjectiveSpace((2, 2))
+    N = sp.ambient_dim()
+    scheme = collision_scheme(sp, extra_doubles=0, seed=0)
+    pairs = list(combinations(range(N + 1), 2))
+    for prime in (DEFAULT_PRIME, ALTERNATE_PRIME, 101):
+        _, _, dirs = draw_scheme_points(sp, scheme, prime, seed=0)
+        d = dict(zip(pairs, dirs))
+        for i, j, k in combinations(range(N + 1), 3):
+            assert all(
+                (a + b - c) % prime == 0
+                for a, b, c in zip(d[(i, j)], d[(j, k)], d[(i, k)])
+            ), (prime, i, j, k)
 
 
 def test_star_points_impose_independent_conditions():
