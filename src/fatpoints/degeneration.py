@@ -201,15 +201,11 @@ def _pin_scheme(
 ) -> FatPointScheme:
     """Draw coordinates once and pin them, so residue and trace are taken
     at the same points."""
-    counts = space.coord_counts()
-    offs = space.coord_offsets()
+    counts, offs = space.coord_counts(), space.coord_offsets()
     flat_pts, _, _ = draw_scheme_points(space, scheme, prime, seed)
     points = []
-    for pt, flat in zip(scheme.points, flat_pts):
-        coords = tuple(
-            tuple(flat[offs[f] + i] for i in range(counts[f]))
-            for f in range(space.num_factors)
-        )
+    for pt, flat in zip(scheme.points, flat_pts.tolist()):
+        coords = tuple(tuple(flat[off : off + c]) for off, c in zip(offs, counts))
         points.append(FatPoint(pt.multiplicity, PointSpec(pt.spec.stratum, coords)))
     return FatPointScheme(points, list(scheme.jets), list(scheme.contained))
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial, perm, prod
@@ -129,18 +129,26 @@ class Certificate:
     runs: list[tuple[int, int, int]] = field(default_factory=list)  # (prime, seed, dim)
 
     def to_json(self) -> dict:
-        return {
-            "status": self.status.value,
-            "computed_dim": self.computed_dim,
-            "virtual_dim": self.virtual_dim,
-            "expected_dim": self.expected_dim,
-            "rank": self.rank,
-            "rows": self.rows,
-            "cols": self.cols,
-            "prime": self.prime,
-            "seed": self.seed,
-            "runs": [list(r) for r in self.runs],
-        }
+        return _to_json(self)
+
+
+def _to_json(x):
+    """The JSON of a report, from its fields: a dataclass is the dict of its
+    fields in field order, a space or a multidegree its list, an enum its
+    value, a tuple a list; dict keys become strings."""
+    if isinstance(x, MultiProjectiveSpace):
+        return list(x.factor_dims)
+    if isinstance(x, Multidegree):
+        return list(x.degrees)
+    if is_dataclass(x):
+        return {f.name: _to_json(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, Enum):
+        return x.value
+    if isinstance(x, (list, tuple)):
+        return [_to_json(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _to_json(v) for k, v in x.items()}
+    return x
 
 
 def status_matches(expected: str, cert: Certificate) -> bool:
@@ -167,55 +175,48 @@ def _draw_factor(rng: random.Random, count: int, vanishing: frozenset[int], p: i
     raise RuntimeError("could not draw a nonzero coordinate vector")
 
 
-def _normalize_factor(vec, p: int):
-    """Scale so the first nonvanishing coordinate is 1; return (vec, chart)."""
-    vec = tuple(int(c) % p for c in vec)
-    for i, c in enumerate(vec):
-        if c:
-            inv = pow(c, -1, p)
-            return tuple(c * inv % p for c in vec), i
-    raise ValueError("zero coordinate vector mod p (prime divides all entries)")
-
-
 def draw_scheme_points(
     space: MultiProjectiveSpace,
     scheme: FatPointScheme,
     prime: int,
     seed: int,
 ):
-    """Draw (or normalize pinned) coordinates for every point and a
-    direction for every jet lacking one.  Deterministic in the seed.
+    """Draw (or reduce pinned) coordinates for every point and a direction
+    for every jet lacking one.  Deterministic in the seed.
 
-    Returns (points, charts, directions): per point the flat normalized
-    coordinate tuple and the flat chart index per factor; per jet the
-    affine direction vector.
+    Returns (points, charts, directions): points, an int64 array with one
+    row of flat coordinates in [0, p) per point, each factor's block scaled
+    so that its first nonzero coordinate is 1; charts, an intp array of the
+    flat index of that coordinate per point and factor; per jet the affine
+    direction vector.  The points are drawn one by one from the stream, and
+    each factor's block is normalised for all points at once.
     """
     rng = random.Random(seed)
     counts, offs = space.coord_counts(), space.coord_offsets()
-    points, charts = [], []
+    rows = []
     for pt in scheme.points:
-        vecs = []
-        if pt.spec.coords is not None:
-            vecs = list(pt.spec.coords)
-            if pt.spec.stratum is not None:
-                for f, s in enumerate(pt.spec.stratum.vanishing):
-                    if any(vecs[f][i] % prime for i in s):
-                        raise ValueError("pinned coordinates are off the stratum")
+        stratum = pt.spec.stratum
+        vanishing = (frozenset(),) * len(counts) if stratum is None else stratum.vanishing
+        if pt.spec.coords is None:
+            rows.append([
+                x for c, van in zip(counts, vanishing) for x in _draw_factor(rng, c, van, prime)
+            ])
         else:
-            for f, c in enumerate(counts):
-                van = (
-                    pt.spec.stratum.vanishing[f]
-                    if pt.spec.stratum is not None
-                    else frozenset()
-                )
-                vecs.append(_draw_factor(rng, c, van, prime))
-        norm, chs = [], []
-        for vec in vecs:
-            nv, ch = _normalize_factor(vec, prime)
-            norm.append(nv)
-            chs.append(ch)
-        points.append(tuple(x for v in norm for x in v))
-        charts.append(tuple(offs[f] + ch for f, ch in enumerate(chs)))
+            row = [int(x) % prime for vec in pt.spec.coords for x in vec]
+            if any(row[off + i] for off, van in zip(offs, vanishing) for i in van):
+                raise ValueError("pinned coordinates are off the stratum")
+            rows.append(row)
+    points = np.array(rows, dtype=np.int64).reshape(len(rows), space.total_coords())
+    charts = np.empty((len(rows), len(counts)), dtype=np.intp)
+    for f, (off, c) in enumerate(zip(offs, counts)):
+        block = points[:, off : off + c]  # a view: scaled in place
+        chart = np.argmax(block != 0, axis=1)
+        lead = block[np.arange(len(rows)), chart]
+        if not lead.all():
+            raise ValueError("zero coordinate vector mod p (prime divides all entries)")
+        inv = np.array([pow(x, -1, prime) for x in lead.tolist()], dtype=np.int64)
+        block[:] = block * inv[:, None] % prime  # below 2^62: exact in int64
+        charts[:, f] = off + chart
     n_aff = space.ambient_dim()
     directions = []
     for jet in scheme.jets:
@@ -294,8 +295,7 @@ def build_matrix(
             take = np.ravel_multi_index(index, [len(ms) for ms in monos])
     monos = [np.array(ms, dtype=np.int64).reshape(len(ms), c) for ms, c in zip(monos, counts)]
 
-    points, charts, directions = draw_scheme_points(space, scheme, p, seed)
-    Q, charts = np.array(points, dtype=np.int64), np.array(charts, dtype=np.intp)
+    Q, charts, directions = draw_scheme_points(space, scheme, p, seed)
     mults = [pt.multiplicity for pt in scheme.points]
     starts = np.cumsum([0] + [conditions_of_fat_point(a, N) for a in mults])
     # conditions as columns: A.T is C-contiguous, the layout dimensions()

@@ -15,6 +15,7 @@ from .engine import (
     Certificate,
     DimensionVerdict,
     PrimeFieldConfig,
+    _to_json,
     check_columns,
     dimensions,
     status_matches,
@@ -39,16 +40,7 @@ class SecantVerdict:
         return self.certificate.status.certified
 
     def to_json(self) -> dict:
-        return {
-            "space": list(self.space.factor_dims),
-            "degree": list(self.degree.degrees),
-            "r": self.r,
-            "expected_dim": self.expected_dim,
-            "actual_dim": self.actual_dim,
-            "defect": self.defect,
-            "defective": self.defective,
-            "certificate": self.certificate.to_json(),
-        }
+        return _to_json(self)
 
 
 def secant_expected_dim(
@@ -142,16 +134,11 @@ class DefectivityReport:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "space": list(self.space.factor_dims),
-            "degree": list(self.degree.degrees),
-            "r_low": self.r_low,
-            "r_high": self.r_high,
-            "low": self.low.to_json(),
-            "high": self.high.to_json(),
-            "certified_nondefective": self.certified_nondefective,
-            "defective_evidence": self.defective_evidence,
-        }
+        return dict(
+            _to_json(self),
+            certified_nondefective=self.certified_nondefective,
+            defective_evidence=self.defective_evidence,
+        )
 
 
 def is_defective(
@@ -193,17 +180,7 @@ class HypothesisReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "space": list(self.space.factor_dims),
-            "degree": list(self.degree.degrees),
-            "r_values": list(self.r_values),
-            "big_enough": self.big_enough,
-            "gap_ok": self.gap_ok,
-            "dim3": self.dim3,
-            "dim4": self.dim4,
-            "per_r": {str(r): d for r, d in self.per_r.items()},
-            "all_hold": self.all_hold,
-        }
+        return dict(_to_json(self), all_hold=self.all_hold)
 
 
 def theorem_hypotheses(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -11,6 +12,10 @@ from hypothesis import strategies as st
 
 from fatpoints import __version__, cli
 from fatpoints.cli import main
+from fatpoints.engine import dimension
+from fatpoints.schemes import make_scheme
+from fatpoints.secant import is_defective, secant_dim, theorem_hypotheses
+from fatpoints.spaces import Multidegree, MultiProjectiveSpace
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +72,34 @@ def test_json_output_deterministic(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["certificate"]["status"] == "Regular"
+
+
+def test_report_shapes(capsys):
+    # a report's JSON is its dataclass fields plus its named properties, so a
+    # new field changes these lists and the digest
+    sp, dg = MultiProjectiveSpace((1, 1)), Multidegree((3, 3))
+    cert = dimension(sp, dg, make_scheme("3,2^3"))
+    assert list(cert.to_json()) == [
+        "status", "computed_dim", "virtual_dim", "expected_dim", "rank", "rows",
+        "cols", "prime", "seed", "runs",
+    ]
+    assert list(secant_dim(sp, dg, 2).to_json()) == [
+        "space", "degree", "r", "expected_dim", "actual_dim", "defect",
+        "defective", "certificate",
+    ]
+    assert list(is_defective(sp, dg).to_json()) == [
+        "space", "degree", "r_low", "r_high", "low", "high",
+        "certified_nondefective", "defective_evidence",
+    ]
+    assert list(theorem_hypotheses(sp, dg).to_json()) == [
+        "space", "degree", "r_values", "big_enough", "gap_ok", "dim3", "dim4",
+        "per_r", "all_hold",
+    ]
+    code, out, _ = run_cli(capsys, "defective", "--space", "3x3", "--deg", "4,4", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a057dee70433fae4129152c3d2c7e55b74570b16605589579f84af625ddcf8e7"
+    )
 
 
 def test_seed_flag_changes_request_not_verdict(capsys):

@@ -467,6 +467,8 @@ def _reference_matrix(space, degree, scheme, p, seed):
     engine's draws: per point the derivatives of order 0, 1, ..., a - 1
     (each order in composition order), then one row per jet."""
     points, charts, directions = draw_scheme_points(space, scheme, p, seed)
+    # Python integers: the powers below would overflow in int64
+    points, charts = points.tolist(), charts.tolist()
     cols = ideal_basis(space, degree, scheme.contained)
     N = space.ambient_dim()
     affine = [
@@ -521,6 +523,58 @@ def test_build_matrix_matches_the_definition(system):
     space, degree, scheme, p, seed = system
     got = build_matrix(space, degree, scheme, prime=p, seed=seed).array
     assert np.array_equal(got, _reference_matrix(space, degree, scheme, p, seed))
+
+
+def _normal_form(vec, p):
+    """A factor vector reduced mod p and scaled so that its first nonzero
+    coordinate is 1, and that coordinate's index."""
+    vec = [c % p for c in vec]
+    chart = next(i for i, c in enumerate(vec) if c)
+    inv = pow(vec[chart], -1, p)
+    return [c * inv % p for c in vec], chart
+
+
+@pytest.mark.parametrize("p", [101, DEFAULT_PRIME])
+def test_draws_are_in_normal_form(p):
+    sp = MultiProjectiveSpace((2, 1))
+    on_x0 = CoordinateSubvariety((frozenset({0}), frozenset()))
+    on_x01_y0 = CoordinateSubvariety((frozenset({0, 1}), frozenset({0})))
+    pinned = [
+        ((3, -5, 2**40), (7, 1)),
+        ((0, 0, 9), (p - 1, 2)),
+        ((p, 4, 6), (0, 3)),  # on x0 = 0 mod p only
+        ((0, 0, 2), (p, 3)),
+    ]
+    specs = [PointSpec(), PointSpec(on_x0), PointSpec(on_x01_y0)]
+    specs += [PointSpec(None, pinned[0]), PointSpec(None, pinned[1])]
+    specs += [PointSpec(on_x0, pinned[2]), PointSpec(on_x01_y0, pinned[3])]
+    scheme = FatPointScheme([FatPoint(1, s) for s in specs])
+    offs, counts = sp.coord_offsets(), sp.coord_counts()
+    for seed in range(3):
+        points, charts, _ = draw_scheme_points(sp, scheme, p, seed)
+        assert points.dtype == np.int64 and points.shape == (len(specs), 5)
+        assert charts.dtype == np.intp and charts.shape == (len(specs), 2)
+        assert ((0 <= points) & (points < p)).all()
+        for i, (row, chart) in enumerate(zip(points.tolist(), charts.tolist())):
+            for f, (off, c) in enumerate(zip(offs, counts)):
+                block = row[off : off + c]
+                assert (block, chart[f] - off) == _normal_form(block, p)
+                stratum = specs[i].stratum
+                if stratum is not None:
+                    assert not any(block[k] for k in stratum.vanishing[f])
+                if specs[i].coords is not None:
+                    assert (block, chart[f] - off) == _normal_form(specs[i].coords[f], p)
+
+
+def test_draws_refuse_bad_pinned_points():
+    sp = MultiProjectiveSpace((2,))
+    on_x0 = CoordinateSubvariety((frozenset({0}),))
+    off_stratum = FatPointScheme([FatPoint(1, PointSpec(on_x0, ((1, 2, 3),)))])
+    with pytest.raises(ValueError, match="off the stratum"):
+        draw_scheme_points(sp, off_stratum, 101, 0)
+    zero = FatPointScheme([FatPoint(1, PointSpec(None, ((101, 202, 303),)))])
+    with pytest.raises(ValueError, match="zero coordinate vector mod p"):
+        draw_scheme_points(sp, zero, 101, 0)
 
 
 def test_computed_dim_at_least_vdim():
