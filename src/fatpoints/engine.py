@@ -389,10 +389,10 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
     number of its entries below k.
 
     Entries are reduced mod p; the input, of any memory layout, is not
-    modified: the elimination (_rank_profile, in place) runs on a
-    C-contiguous copy.  dimensions() skips that copy, as its matrices are
-    built conditions-as-columns and used once.  Matrices wider than _NARROW
-    columns are eliminated in panels of _PANEL columns.  _panel gives a
+    modified: the elimination (_rank_profile, in place) runs on a reduced
+    C-contiguous copy.  dimensions() skips that copy and the reduction, as
+    its matrices are built conditions-as-columns, in [0, p), and used once.
+    Matrices wider than _NARROW columns are eliminated in panels of _PANEL columns.  _panel gives a
     panel's pivots, its row swaps, which are applied to A, and the inverse
     of its pivot block, which solves the pivot rows to [I | U12]; the rows
     below, whose entries in the pivot columns are X, get A22 += X (-U12),
@@ -403,13 +403,14 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
     """
     if not 2 <= p < 2**31:
         raise ValueError(f"rank_profile needs 2 <= p < 2^31, got {p}")
-    return _rank_profile(np.array(matrix, dtype=np.int64, order="C"), p)
+    A = np.array(matrix, dtype=np.int64, order="C")
+    return _rank_profile(np.mod(A, p, out=A), p)
 
 
 def _rank_profile(A: np.ndarray, p: int) -> list[int]:
-    """rank_profile of A, a C-contiguous int64 array, which it reduces mod
-    p and eliminates in place: A is overwritten."""
-    np.mod(A, p, out=A)
+    """rank_profile of A, a C-contiguous int64 array with entries in
+    [0, p), as build_matrix gives them, which it eliminates in place: A is
+    overwritten."""
     m, n = A.shape
     profile: list[int] = []
     r = c = 0
@@ -540,7 +541,12 @@ def dimensions(
     the rank of every open prefix off its row rank profile; so one copy of
     the matrix is alive per attempt.  Each prefix keeps its own
     runs and stops at its own first certifying attempt.  Jet rows come last,
-    so a scheme with jets has no proper prefixes."""
+    so a scheme with jets has no proper prefixes.
+
+    A scheme whose points are all pinned and whose jets all have a
+    direction draws nothing from the seed: its matrix depends on the prime
+    alone.  Its attempts at a prime already eliminated reuse that profile,
+    built for a prefix at least as long, and still add their own run."""
     config = config or PrimeFieldConfig()
     npts = len(scheme.points)
     subs = []
@@ -565,17 +571,24 @@ def dimensions(
     alternate = DEFAULT_PRIME if config.prime == ALTERNATE_PRIME else ALTERNATE_PRIME
     attempts.append((alternate, config.seed))
 
+    seedless = all(pt.spec.coords is not None for pt in scheme.points) and all(
+        jet.direction is not None for jet in scheme.jets
+    )
     runs: list[list[tuple[int, int, int]]] = [[] for _ in subs]
+    profile, profile_prime = None, None
     for p, sd in attempts:
         # a prefix stops at its first attempt that gives the expected dim
         todo = [i for i, rs in enumerate(runs) if not rs or rs[-1][2] != exps[i]]
         if not todo:
             break
-        # each open prefix's matrix is a row prefix of the longest one's
-        longest = max(todo, key=lambda i: rows[i])
-        mat = build_matrix(space, degree, subs[longest], prime=p, seed=sd)
-        profile = _rank_profile(mat.array.T, p)
-        del mat  # not alive while the next attempt builds its matrix
+        # the open prefixes only shrink, so an earlier attempt's matrix has
+        # every open prefix's rows as a row prefix
+        if not (seedless and p == profile_prime):
+            # each open prefix's matrix is a row prefix of the longest one's
+            longest = max(todo, key=lambda i: rows[i])
+            mat = build_matrix(space, degree, subs[longest], prime=p, seed=sd)
+            profile, profile_prime = _rank_profile(mat.array.T, p), p
+            del mat  # not alive while the next attempt builds its matrix
         for i in todo:
             runs[i].append((p, sd, cols - bisect_left(profile, rows[i])))
 

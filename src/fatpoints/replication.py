@@ -298,15 +298,31 @@ def verify_main_theorem(
 ) -> dict:
     """Certify non-defectivity of the multidegree-(c,d) embeddings of
     P^m x P^n, (c,d) = (3,3), (3,4), (4,4), for all 1 <= m <= max_m,
-    1 <= n <= max_n by checking the two critical numbers of double points."""
+    1 <= n <= max_n by checking the two critical numbers of double points.
+
+    Each system is certified once up to the order of its factors.  Swapping
+    the factors of P^m x P^n is an isomorphism onto P^n x P^m that takes the
+    forms of bidegree (c,d) to those of bidegree (d,c) and general double
+    points to general double points.  So the two linear systems have the
+    same dimension at every number of points, and the same monomial count
+    and ambient dimension, hence the same r_low and r_high.  One
+    certificate's computed dimension is then an upper bound for both, and
+    the one-sided invariant computed >= true >= vdim holds for each: its
+    statuses are both systems' statuses.  Systems are keyed by their sorted
+    (factor dimension, degree) pairs; is_defective answers the first system
+    of each key, and every entry keeps its own space and degree."""
     entries = []
     ok = True
+    reports = {}
     for c, d in ((3, 3), (3, 4), (4, 4)):
         for m in range(1, max_m + 1):
             for n in range(1, max_n + 1):
-                rep = is_defective(
-                    MultiProjectiveSpace((m, n)), Multidegree((c, d)), config
-                )
+                key = tuple(sorted(((m, c), (n, d))))
+                if key not in reports:
+                    reports[key] = is_defective(
+                        MultiProjectiveSpace((m, n)), Multidegree((c, d)), config
+                    )
+                rep = reports[key]
                 good = rep.certified_nondefective
                 ok = ok and good
                 entries.append(

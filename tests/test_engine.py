@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fatpoints.degeneration import collision_scheme
 from fatpoints.engine import (
     ALTERNATE_PRIME,
     DEFAULT_PRIME,
@@ -29,6 +30,7 @@ from fatpoints.engine import (
     rank_profile,
     status_matches,
 )
+from fatpoints.replication import load_bundled_registry
 from fatpoints.schemes import (
     FatPoint,
     FatPointScheme,
@@ -332,6 +334,20 @@ def test_last_attempt_changes_the_prime(prime):
     assert [p for p, _, _ in cert.runs] == [prime, prime, prime, other]
 
 
+def test_a_pinned_scheme_is_eliminated_once_per_prime(build_calls):
+    # two pinned double points on plane conics: the double line through them
+    # is singular at both, so every attempt reads dimension 1; the points
+    # draw nothing from the seed, so each prime's matrix is built once
+    pts = [FatPoint(2, PointSpec(None, (v,))) for v in ((1, 2, 3), (4, 5, 7))]
+    cert = dimension(MultiProjectiveSpace((2,)), Multidegree((2,)), FatPointScheme(pts))
+    assert cert.status == DimensionVerdict.SPECIAL_CANDIDATE
+    assert cert.runs == [
+        (DEFAULT_PRIME, 0, 1), (DEFAULT_PRIME, 1, 1), (DEFAULT_PRIME, 2, 1),
+        (ALTERNATE_PRIME, 0, 1),
+    ]
+    assert build_calls == [2, 2]
+
+
 def test_zero_label_at_vdim_zero():
     # vdim 0 and dim 0: labelled Zero, not Regular
     sp = MultiProjectiveSpace((1, 2))
@@ -564,6 +580,27 @@ def test_draws_are_in_normal_form(p):
                     assert not any(block[k] for k in stratum.vanishing[f])
                 if specs[i].coords is not None:
                     assert (block, chart[f] - off) == _normal_form(specs[i].coords[f], p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, DEFAULT_PRIME, ALTERNATE_PRIME])
+def test_built_entries_are_reduced(p):
+    # dimensions() eliminates built matrices without reducing them again;
+    # a degree the prime does not admit is lowered to p - 1, and a jet of
+    # order >= p (no 1/order! mod p) is not built
+    systems = [(c.space, c.degree, c.scheme) for c in load_bundled_registry()]
+    sp = MultiProjectiveSpace((1, 1))
+    pts = [FatPoint(2, PointSpec(None, ((1, 2), (1, 3)))), FatPoint(2)]
+    jets = [JetCondition(0, 1, (2, -5)), JetCondition(1, 1)]
+    systems.append((sp, Multidegree((3, 3)), FatPointScheme(pts, jets)))
+    systems.append(next(_jet_instances()))
+    sp = MultiProjectiveSpace((2, 2))
+    systems.append((sp, Multidegree((3, 3)), collision_scheme(sp, extra_doubles=2)))
+    for space, degree, scheme in systems:
+        if any(jet.order >= p for jet in scheme.jets):
+            continue
+        degree = Multidegree(tuple(min(d, p - 1) for d in degree.degrees))
+        A = build_matrix(space, degree, scheme, prime=p, seed=1).array
+        assert ((0 <= A) & (A < p)).all(), (space, degree, scheme.type_label())
 
 
 def test_draws_refuse_bad_pinned_points():

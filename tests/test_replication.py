@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 
+import pytest
+
+from fatpoints import replication
 from fatpoints.engine import ALTERNATE_PRIME, PrimeFieldConfig
 from fatpoints.replication import (
     BaseCase,
@@ -12,7 +15,12 @@ from fatpoints.replication import (
     verify_main_theorem,
 )
 from fatpoints.schemes import FatPoint, virtual_dim
-from fatpoints.secant import critical_r, secant_dims, veronese_defective_rs
+from fatpoints.secant import (
+    critical_r,
+    is_defective,
+    secant_dims,
+    veronese_defective_rs,
+)
 from fatpoints.spaces import Multidegree, MultiProjectiveSpace
 
 
@@ -106,6 +114,44 @@ def test_verify_main_theorem_small():
     report = verify_main_theorem(max_m=2, max_n=2)
     assert report["passed"]
     assert len(report["cases"]) == 12
+
+
+def _main_theorem_every_system(max_m, max_n, config):
+    """verify_main_theorem as it was before factor-swapped systems shared a
+    report: one is_defective call per system."""
+    entries = []
+    for c, d in ((3, 3), (3, 4), (4, 4)):
+        for m in range(1, max_m + 1):
+            for n in range(1, max_n + 1):
+                rep = is_defective(MultiProjectiveSpace((m, n)), Multidegree((c, d)), config)
+                entries.append({
+                    "space": [m, n],
+                    "degree": [c, d],
+                    "r_low": rep.r_low,
+                    "r_high": rep.r_high,
+                    "low_status": rep.low.status.value,
+                    "high_status": rep.high.status.value,
+                    "certified_nondefective": rep.certified_nondefective,
+                })
+    return {"cases": entries, "passed": all(e["certified_nondefective"] for e in entries)}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_main_theorem_certifies_each_system_once_up_to_factor_order(monkeypatch, seed):
+    # (1,2)/(2,1), (1,3)/(3,1) and (2,3)/(3,2) in bidegrees (3,3) and (4,4)
+    # are factor swaps of each other: 27 systems, 21 questions
+    asked = []
+
+    def counting(space, degree, config=None):
+        asked.append((space.factor_dims, degree.degrees))
+        return is_defective(space, degree, config)
+
+    monkeypatch.setattr(replication, "is_defective", counting)
+    config = PrimeFieldConfig(seed=seed)
+    report = verify_main_theorem(3, 3, config)
+    assert len(asked) == len(set(asked)) == 21
+    assert report == _main_theorem_every_system(3, 3, config)
+    assert report["passed"]
 
 
 def test_verify_ah_examples():
