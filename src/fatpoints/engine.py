@@ -276,6 +276,12 @@ def build_matrix(
     maxdeg = max(degree.degrees, default=0)
     if p <= maxdeg:
         raise ValueError("prime must exceed the maximum factor degree")
+    order = max((jet.order for jet in scheme.jets), default=0)
+    if p <= order:
+        raise ValueError(
+            f"a jet of order {order} needs a prime above {order} "
+            f"(1/{order}! does not exist mod {p})"
+        )
     N = space.ambient_dim()
     ncols = check_columns(space, degree, scheme.contained, scheme.conditions(N))
 

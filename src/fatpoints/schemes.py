@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, factorial
 
 from .spaces import (
     CoordinateSubvariety,
@@ -23,12 +23,36 @@ from .spaces import (
 )
 
 
-def conditions_of_fat_point(multiplicity: int, ambient_dim: int) -> int:
+def any_true(mask) -> bool:
+    """Whether a comparison holds anywhere: `mask` is the bool of comparing
+    ints, or the bool array of comparing integer arrays.  The type is looked
+    at first, so that a comparison of ints costs no array call."""
+    return mask if isinstance(mask, bool) else bool(mask.any())
+
+
+def binom(x, k: int):
+    """C(x, k) for x >= 0 and a fixed int k >= 0, where x is an int or an
+    integer array (int64, or object holding Python ints), entry by entry.
+
+    An array takes the exact product form (x-k+1)...x // k!, whose largest
+    value formed is the product, k! C(x, k).  An int takes math.comb, whose
+    cost does not grow with k: a fat point's k is its multiplicity minus 1,
+    and the CLI counts the conditions of any multiplicity it is given."""
+    if isinstance(x, int):
+        return comb(x, k)
+    out = 1
+    for i in range(k):
+        out = out * (x - i)
+    return out // factorial(k)
+
+
+def conditions_of_fat_point(multiplicity: int, ambient_dim):
     """Number of linear conditions an a-fat point imposes on forms on an
-    N-dimensional variety: the partial derivatives of order < a."""
-    if multiplicity < 1 or ambient_dim < 1:
+    N-dimensional variety: the partial derivatives of order < a.  N may be
+    an integer array (see binom); the multiplicity is an int."""
+    if any_true((multiplicity < 1) | (ambient_dim < 1)):
         raise ValueError("multiplicity and ambient dimension must be >= 1")
-    return comb(ambient_dim + multiplicity - 1, ambient_dim)
+    return binom(ambient_dim + multiplicity - 1, multiplicity - 1)
 
 
 @dataclass(frozen=True)

@@ -15,3 +15,17 @@ def build_calls(monkeypatch):
 
     monkeypatch.setattr(engine, "build_matrix", counting)
     return calls
+
+
+@pytest.fixture
+def per_case_failures():
+    """The ledger's reference rule: a lemma's predicate called on each case
+    of its domain as ints, keeping the cases where it is false."""
+    from fatpoints import arith
+
+    def failures(lemma_id, bound):
+        domain, predicate = arith._REGISTRY[lemma_id]
+        cases = zip(*(c.tolist() for c in domain.columns(bound)))
+        return [args for args in cases if not predicate(*args)]
+
+    return failures

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +109,118 @@ def test_empty_range_is_an_error(lemma_id, bound):
         verify_all(bound)
     # from 4 on, every lemma has cases
     assert verify_lemma(lemma_id, 4) == []
+
+
+# domains as the loops that listed them, for each shape of domain
+_LOOPS = {
+    "kup33-growth": lambda B: [(m, n) for m in range(2, B + 1)
+                               for n in range(m, B + 1)],
+    "kdown44-vs-kup34": lambda B: [(m, n) for m in range(2, B + 1)
+                                   for n in range(m, B + 1) if (m, n) != (2, 2)],
+    "kdown34-vs-kup33": lambda B: [(m, n) for m in range(1, B + 1)
+                                   for n in range(3, B + 1) if (m, n) != (1, 3)],
+    "w-growth": lambda B: [(m, n) for m in range(2, B + 1) for n in range(2, B + 1)],
+    "b-mod3": lambda B: [(n,) for n in range(3, B + 1)],
+}
+
+
+@pytest.mark.parametrize("lemma_id", sorted(_LOOPS))
+def test_domains_list_the_loops_they_replace(lemma_id):
+    domain = arith._REGISTRY[lemma_id][0]
+    for bound in range(0, 12):
+        columns = domain.columns(bound)
+        assert all(c.dtype == np.int64 for c in columns)
+        want = _LOOPS[lemma_id](bound)
+        assert list(zip(*(c.tolist() for c in columns))) == want, bound
+        assert domain.count(bound) == len(want), bound
+
+
+@pytest.mark.parametrize("bound", range(4, 41))
+def test_sweep_equals_the_per_case_rule(bound, per_case_failures):
+    for lemma_id in arith.lemma_ids():
+        assert verify_lemma(lemma_id, bound) == per_case_failures(lemma_id, bound)
+
+
+def _made_false_at(lemma_id, points):
+    """The lemma's domain, with its predicate made false at the points."""
+    domain, predicate = arith._REGISTRY[lemma_id]
+
+    def broken(*args):
+        """the lemma, made false at chosen points"""
+        ok = predicate(*args)
+        for point in points:
+            away = False
+            for x, at in zip(args, point):
+                away = away | (x != at)
+            ok = ok & away
+        return ok
+
+    return domain, broken
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("lemma_id,points", [
+    ("w-growth", [(9, 9), (2, 7), (5, 3)]),
+    ("kdown44-vs-kup34", [(2, 3), (7, 11)]),
+    ("b-mod3", [(3,), (12,)]),
+])
+def test_counterexamples_are_int_tuples_in_domain_order(
+    monkeypatch, per_case_failures, exact, lemma_id, points
+):
+    monkeypatch.setitem(arith._REGISTRY, "made-false", _made_false_at(lemma_id, points))
+    if exact:
+        monkeypatch.setattr(arith, "INT64_BOUND", 0)
+    got = verify_lemma("made-false", 12)
+    assert got == sorted(points) == per_case_failures("made-false", 12)
+    assert all(type(x) is int for case in got for x in case)
+
+
+def test_int64_line():
+    # the margin of 8 over C(B+4,4)^2, the largest value a lemma forms
+    B = arith.INT64_BOUND
+    assert 8 * comb(B + 4, 4) ** 2 < 2**63 <= 8 * comb(B + 5, 4) ** 2
+
+
+@pytest.mark.parametrize("lemma_id", ["easy-hypotheses", "kdown44-vs-kup34",
+                                      "w-growth"])
+def test_last_int64_bound_agrees_with_exact_ints(monkeypatch, lemma_id):
+    # the three lemmas whose int64 sweeps wrap first, past the line
+    B = arith.INT64_BOUND
+    fast = verify_lemma(lemma_id, B)
+    monkeypatch.setattr(arith, "INT64_BOUND", B - 1)
+    assert verify_lemma(lemma_id, B) == fast == []
+
+
+def test_past_the_int64_line_the_sweep_is_exact(monkeypatch):
+    domain, predicate = arith._REGISTRY["b-mod3"]
+    seen = []
+
+    def spy(n):
+        """b-mod3, noting the type of its argument"""
+        seen.append(n.dtype)
+        return predicate(n)
+
+    monkeypatch.setitem(arith._REGISTRY, "spy", (domain, spy))
+    B = arith.INT64_BOUND
+    assert verify_lemma("spy", B) == verify_lemma("spy", B + 1) == []
+    assert seen == [np.dtype(np.int64), np.dtype(object)]
+
+
+def test_oversized_bound_is_refused_before_listing(monkeypatch):
+    def never(bound):
+        raise AssertionError("listed")
+
+    for lemma_id in arith.lemma_ids():
+        domain, predicate = arith._REGISTRY[lemma_id]
+        monkeypatch.setitem(arith._REGISTRY, lemma_id,
+                            (domain._replace(columns=never), predicate))
+    with pytest.raises(ValueError, match="over the limit of 250000"):
+        verify_all(10**9)
+    with pytest.raises(ValueError, match="'easy-hypotheses' has 251001 cases"):
+        verify_lemma("easy-hypotheses", 501)
+    # a lemma of one argument reaches further
+    with pytest.raises(AssertionError, match="listed"):
+        verify_lemma("b-mod3", 501)
 
 
 _PROFILES = [[(1, 1)], [(2, 3)], [(3, 1), (2, 2)], [(4, 1), (2, 1), (1, 2)]]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fatpoints import __version__, cli
+from fatpoints import __version__, arith, cli
 from fatpoints.cli import main
 from fatpoints.engine import dimension
 from fatpoints.schemes import make_scheme
@@ -159,6 +159,44 @@ def test_verify_arith_cli(capsys):
     assert code == 0
     assert "0 counterexamples" in out
     assert "up to 60" in out
+
+
+def _arith_reply(results, bound):
+    """The verify-arith --json reply built from per-case results."""
+    doc = {
+        "bound": bound,
+        "lemmas": {lid: {"counterexamples": [list(c) for c in ces]}
+                   for lid, ces in results.items()},
+        "total_counterexamples": sum(len(ces) for ces in results.values()),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_verify_arith_replies_match_the_per_case_rule(capsys, monkeypatch,
+                                                      per_case_failures):
+    code, out, _ = run_cli(capsys, "verify-arith", "--bound", "40", "--json")
+    ids = arith.lemma_ids()
+    assert code == 0
+    assert out == _arith_reply({lid: per_case_failures(lid, 40) for lid in ids}, 40)
+
+    argv = ("verify-arith", "--lemma", "b-mod3", "--bound", "60", "--json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == _arith_reply({"b-mod3": per_case_failures("b-mod3", 60)}, 60)
+    # with counterexamples, which come back as ints that json can write
+    domain, predicate = arith._REGISTRY["b-mod3"]
+    monkeypatch.setitem(arith._REGISTRY, "b-mod3",
+                        (domain, lambda n: predicate(n) & (n % 7 != 0)))
+    code, out, _ = run_cli(capsys, *argv)
+    want = per_case_failures("b-mod3", 60)
+    assert code == 1 and len(want) == 8
+    assert out == _arith_reply({"b-mod3": want}, 60)
+
+
+def test_verify_arith_oversized_bound_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify-arith", "--bound", "1000000000")
+    assert code == 64 and out == ""
+    assert "over the limit of 250000" in err
 
 
 def test_unknown_lemma_is_usage_error(capsys):

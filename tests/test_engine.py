@@ -603,6 +603,21 @@ def test_built_entries_are_reduced(p):
         assert ((0 <= A) & (A < p)).all(), (space, degree, scheme.type_label())
 
 
+def test_a_jet_the_prime_cannot_build_is_refused_before_any_draw(monkeypatch):
+    # the order-kappa Taylor term needs 1/kappa! mod p; the collision's
+    # order-3 jets on P^2 x P^2 fit degree (2, 2) at p = 3, but not the prime
+    from fatpoints import engine
+
+    drawn = []
+    monkeypatch.setattr(engine, "draw_scheme_points", lambda *a: drawn.append(a))
+    sp, dg = MultiProjectiveSpace((2, 2)), Multidegree((2, 2))
+    scheme = collision_scheme(sp, 3)
+    assert max(jet.order for jet in scheme.jets) == 3
+    with pytest.raises(ValueError, match=r"jet of order 3 .* mod 3\)"):
+        dimension(sp, dg, scheme, PrimeFieldConfig(prime=3))
+    assert drawn == []
+
+
 def test_draws_refuse_bad_pinned_points():
     sp = MultiProjectiveSpace((2,))
     on_x0 = CoordinateSubvariety((frozenset({0}),))
