@@ -10,9 +10,29 @@ and fails loudly on any mismatch.
 first certifies non-defectivity of the multidegree-(c,d) embeddings of
 P^m x P^n for small m, n; the second spot-checks the classification of
 defective Veronese embeddings.
+
+Both drivers ask independent questions, one system each, and
+`_answer_all` answers them on every CPU the process may run on: in this
+process and in one forked child per further CPU.  OpenBLAS is capped at
+one thread for the length of the call, because a forked child that brings
+its own pool of spinning BLAS threads makes the pass several times slower
+on two CPUs, while a second BLAS thread buys nothing on matrices this
+small.  The fork is safe here for three reasons.  OpenBLAS quiesces its
+thread pool in its own pthread_atfork handler, so no child inherits a
+lock held by a BLAS thread.  The package starts no thread, and the helper
+forks only while the calling process runs a single Python thread.  And a
+child leaves by os._exit after writing its answers, so it never returns
+into its caller's stack, runs no exit handler and flushes no buffer it
+inherited.  Python 3.12 and later warn on fork() in a process with other
+live threads; the single-thread condition should keep that warning away,
+but that is unverified: the package is tested on Python 3.10 and 3.11.
 """
 from __future__ import annotations
 
+import ctypes
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 from .arith import b, ell, j, k_down, k_up, s, v
@@ -25,7 +45,12 @@ from .secant import (
     secant_dims,
     veronese_defective_rs,
 )
-from .spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
+from .spaces import (
+    CoordinateSubvariety,
+    Multidegree,
+    MultiProjectiveSpace,
+    basis_size,
+)
 
 
 @dataclass(frozen=True)
@@ -288,6 +313,141 @@ def run_basecases(
     }
 
 
+# --- answering independent questions on every allowed CPU ----------------
+
+
+def _allowed_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call off Linux
+        return 1
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS library numpy loaded,
+    found through its own symbols; None when there is none (another BLAS,
+    or no /proc/self/maps to find it in)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (
+            ("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")
+        ):
+            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+def _split(costs: list[int], workers: int) -> list[list[int]]:
+    """Question indices per worker, by longest processing time first: each
+    question, costliest first, goes to the least loaded worker.  Worker 0
+    is this process, and it takes the costliest question, so this process's
+    peak memory still sees the largest matrix."""
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += costs[i]
+    return [sorted(share) for share in shares]
+
+
+def _answer_in_child(ask, questions, share, r: int, w: int) -> None:
+    """The body of a forked worker.  It writes (True, answers) or (False,
+    exception) to w and leaves by os._exit, whatever happens: it must never
+    return into the stack it was forked from."""
+    code = 1
+    try:
+        os.close(r)
+        try:
+            payload = (True, [ask(*questions[i]) for i in share])
+        except Exception as exc:
+            payload = (False, exc)
+        with open(w, "wb") as fh:
+            fh.write(pickle.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _answer_all(ask, questions: list[tuple[MultiProjectiveSpace, Multidegree]]) -> list:
+    """[ask(space, degree) for each question], in question order.
+
+    The answers come from this process and from one forked child per
+    further allowed CPU, with OpenBLAS capped at one thread for the length
+    of the call (see the module docstring).  The questions are split by
+    basis_size ** 3, the cost of an elimination.  The plain loop runs
+    instead when only one CPU is allowed, there are fewer than two
+    questions, another Python thread is running, or no OpenBLAS thread
+    control is found.  A question that raises in a child raises the same
+    exception here; a child that dies without answering raises
+    RuntimeError.  Every child is reaped before this returns or raises."""
+    workers = min(_allowed_cpus(), len(questions))
+    blas = None
+    if workers > 1 and threading.active_count() == 1:
+        blas = _openblas_threads()
+    if blas is None:
+        return [ask(*q) for q in questions]
+    get_threads, set_threads = blas
+    shares = _split([basis_size(*q) ** 3 for q in questions], workers)
+    before = get_threads()
+    set_threads(1)
+    try:
+        return _fan_out(ask, questions, shares)
+    finally:
+        set_threads(before)
+
+
+def _fan_out(ask, questions, shares: list[list[int]]) -> list:
+    """_answer_all's answers: shares[0] here, each further share in a
+    forked child, which is killed if this process's share raises."""
+    answers = [None] * len(questions)
+    children = []  # (pid, read end of its pipe), one per shares[1:]
+    outputs = None
+    statuses = []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _answer_in_child(ask, questions, share, r, w)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        for i in shares[0]:
+            answers[i] = ask(*questions[i])
+        outputs = [reader.read() for _, reader in children]
+    finally:
+        for pid, reader in children:
+            reader.close()
+            if outputs is None:
+                import signal  # here, so that importing the package adds no module
+
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for share, data, status in zip(shares[1:], outputs, statuses):
+        if status != 0:
+            raise RuntimeError(
+                f"a worker process ended without answering (exit status {status})"
+            )
+        answered, value = pickle.loads(data)
+        if not answered:
+            raise value
+        for i, answer in zip(share, value):
+            answers[i] = answer
+    return answers
+
+
 # --- theorem-scale drivers ------------------------------------------------
 
 
@@ -310,33 +470,74 @@ def verify_main_theorem(
     the one-sided invariant computed >= true >= vdim holds for each: its
     statuses are both systems' statuses.  Systems are keyed by their sorted
     (factor dimension, degree) pairs; is_defective answers the first system
-    of each key, and every entry keeps its own space and degree."""
+    of each key, and every entry keeps its own space and degree.  The
+    questions are answered on every allowed CPU (_answer_all)."""
+    systems = [
+        (MultiProjectiveSpace((m, n)), Multidegree((c, d)))
+        for c, d in ((3, 3), (3, 4), (4, 4))
+        for m in range(1, max_m + 1)
+        for n in range(1, max_n + 1)
+    ]
+
+    def key(space, degree):
+        return tuple(sorted(zip(space.factor_dims, degree.degrees)))
+
+    questions = {}
+    for space, degree in systems:
+        questions.setdefault(key(space, degree), (space, degree))
+    answers = _answer_all(
+        lambda space, degree: is_defective(space, degree, config),
+        list(questions.values()),
+    )
+    reports = dict(zip(questions, answers))
     entries = []
     ok = True
-    reports = {}
-    for c, d in ((3, 3), (3, 4), (4, 4)):
-        for m in range(1, max_m + 1):
-            for n in range(1, max_n + 1):
-                key = tuple(sorted(((m, c), (n, d))))
-                if key not in reports:
-                    reports[key] = is_defective(
-                        MultiProjectiveSpace((m, n)), Multidegree((c, d)), config
-                    )
-                rep = reports[key]
-                good = rep.certified_nondefective
-                ok = ok and good
-                entries.append(
-                    {
-                        "space": [m, n],
-                        "degree": [c, d],
-                        "r_low": rep.r_low,
-                        "r_high": rep.r_high,
-                        "low_status": rep.low.status.value,
-                        "high_status": rep.high.status.value,
-                        "certified_nondefective": good,
-                    }
-                )
+    for space, degree in systems:
+        rep = reports[key(space, degree)]
+        good = rep.certified_nondefective
+        ok = ok and good
+        entries.append(
+            {
+                "space": list(space.factor_dims),
+                "degree": list(degree.degrees),
+                "r_low": rep.r_low,
+                "r_high": rep.r_high,
+                "low_status": rep.low.status.value,
+                "high_status": rep.high.status.value,
+                "certified_nondefective": good,
+            }
+        )
     return {"cases": entries, "passed": ok}
+
+
+def _ah_entry(
+    space: MultiProjectiveSpace,
+    degree: Multidegree,
+    config: PrimeFieldConfig | None,
+) -> dict:
+    """verify_ah's entry for the Veronese embedding of P^n of degree d."""
+    (n,), (d,) = space.factor_dims, degree.degrees
+    expected_rs = veronese_defective_rs(n, d)
+    r_low, r_high = critical_r(space, degree)
+    # one draw answers the two critical counts and every defective r
+    low, high, *defective = secant_dims(
+        space, degree, [r_low, r_high, *expected_rs], config
+    )
+    rep = DefectivityReport(
+        space, degree, r_low, r_high, low.certificate, high.certificate
+    )
+    defects = {v.r: v.defect for v in defective}
+    good = rep.certified_nondefective == (not expected_rs) and all(
+        v.defect >= 1 for v in defective
+    )
+    return {
+        "n": n,
+        "d": d,
+        "expected_defective_rs": expected_rs,
+        "certified_nondefective": rep.certified_nondefective,
+        "defects": {str(r): defects[r] for r in sorted(defects)},
+        "ok": good,
+    }
 
 
 def verify_ah(
@@ -348,36 +549,12 @@ def verify_ah(
     quadrics are defective for 2 <= r <= n (checked through n = 5), the
     four sporadic higher-degree cases have defect >= 1, and everything
     else up to (max_n, max_d) is certified non-defective at the two
-    critical numbers of points."""
+    critical numbers of points.  The embeddings are checked on every
+    allowed CPU (_answer_all)."""
     pairs = [(n, d) for n in range(1, max_n + 1) for d in range(2, max_d + 1)]
     pairs.append((5, 2))
-    entries = []
-    ok = True
-    for n, d in pairs:
-        space = MultiProjectiveSpace((n,))
-        degree = Multidegree((d,))
-        expected_rs = veronese_defective_rs(n, d)
-        r_low, r_high = critical_r(space, degree)
-        # one draw answers the two critical counts and every defective r
-        low, high, *defective = secant_dims(
-            space, degree, [r_low, r_high, *expected_rs], config
-        )
-        rep = DefectivityReport(
-            space, degree, r_low, r_high, low.certificate, high.certificate
-        )
-        defects = {v.r: v.defect for v in defective}
-        good = rep.certified_nondefective == (not expected_rs) and all(
-            v.defect >= 1 for v in defective
-        )
-        ok = ok and good
-        entries.append(
-            {
-                "n": n,
-                "d": d,
-                "expected_defective_rs": expected_rs,
-                "certified_nondefective": rep.certified_nondefective,
-                "defects": {str(r): defects[r] for r in sorted(defects)},
-                "ok": good,
-            }
-        )
-    return {"cases": entries, "passed": ok}
+    entries = _answer_all(
+        lambda space, degree: _ah_entry(space, degree, config),
+        [(MultiProjectiveSpace((n,)), Multidegree((d,))) for n, d in pairs],
+    )
+    return {"cases": entries, "passed": all(e["ok"] for e in entries)}

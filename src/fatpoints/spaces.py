@@ -172,15 +172,46 @@ def ideal_basis(
     contained: list[CoordinateSubvariety] | tuple[CoordinateSubvariety, ...] = (),
 ) -> list[tuple[int, ...]]:
     """Monomials of the given multidegree lying in the intersection of the
-    ideals of the listed coordinate subvarieties.
+    ideals of the listed coordinate subvarieties, in the canonical order.
 
     A monomial is in the ideal of a subvariety iff it is divisible by at
-    least one of its vanishing coordinates.
+    least one of its vanishing coordinates.  So each factor's block of
+    exponents puts the monomial in the ideals of a set of subvarieties, a
+    bitmask, and the monomial is kept iff the union of its blocks' masks
+    is all of them.  The blocks are chosen factor by factor, and a prefix
+    is extended only by the blocks after which the later factors can still
+    complete the union, so no excluded monomial is ever listed.
     """
-    basis = monomial_basis(space, degree)
-    offsets = space.coord_offsets()
+    degree.check(space)
     for sub in contained:
         sub.check(space)
-        coords = [off + i for off, s in zip(offsets, sub.vanishing) for i in s]
-        basis = [m for m in basis if any(m[k] for k in coords)]
-    return basis
+    everything = (1 << len(contained)) - 1
+    # per factor, its exponent blocks in the canonical order (as
+    # compositions() lists them), each with its mask
+    blocks = []
+    for f, (c, d) in enumerate(zip(space.coord_counts(), degree.degrees)):
+        block = [((), d, 0)]
+        for i in range(c):
+            bits = sum(1 << j for j, sub in enumerate(contained) if i in sub.vanishing[f])
+            # the last coordinate takes the degree that is left
+            block = [
+                (head + (e,), left - e, mask | bits if e else mask)
+                for head, left, mask in block
+                for e in ((left,) if i == c - 1 else range(left, -1, -1))
+            ]
+        blocks.append([(exps, mask) for exps, _, mask in block])
+    # after[f]: the unions of masks that the factors after f can give
+    after = [{0}]
+    for options in reversed(blocks[1:]):
+        after.insert(0, {mask | r for _, mask in options for r in after[0]})
+    kept = [((), 0)]
+    for options, rest in zip(blocks, after):
+        unions = {have | mask for have in {h for _, h in kept} for _, mask in options}
+        viable = {u for u in unions if any(u | r == everything for r in rest)}
+        kept = [
+            (head + exps, have | mask)
+            for head, have in kept
+            for exps, mask in options
+            if have | mask in viable
+        ]
+    return [mono for mono, _ in kept]

@@ -1,20 +1,60 @@
+import ast
+import os
+
 import pytest
 
 from fatpoints import engine
 
 
+class CallLog:
+    """A list of values that this process and every process forked from it
+    append to: one line per value, written with one os.write on an O_APPEND
+    descriptor, so the lines of concurrent processes never interleave.
+    Values are Python literals; each process's own appends keep their order."""
+
+    def __init__(self, path):
+        self.path = path
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def append(self, value) -> None:
+        os.write(self.fd, (repr(value) + "\n").encode())
+
+    def clear(self) -> None:
+        os.ftruncate(self.fd, 0)
+
+    def values(self) -> list:
+        with open(self.path) as fh:
+            return [ast.literal_eval(line) for line in fh]
+
+    def __len__(self) -> int:
+        return len(self.values())
+
+    def __eq__(self, other) -> bool:
+        return self.values() == other
+
+    def __repr__(self) -> str:
+        return repr(self.values())
+
+
 @pytest.fixture
-def build_calls(monkeypatch):
-    """The number of points of each matrix the engine builds, in order."""
-    calls = []
+def call_log(tmp_path):
+    log = CallLog(tmp_path / "calls.log")
+    yield log
+    os.close(log.fd)
+
+
+@pytest.fixture
+def build_calls(monkeypatch, call_log):
+    """The number of points of each matrix the engine builds, in order
+    within each process, also when a driver forks workers."""
     real = engine.build_matrix
 
     def counting(space, degree, scheme, **kwargs):
-        calls.append(len(scheme.points))
+        call_log.append(len(scheme.points))
         return real(space, degree, scheme, **kwargs)
 
     monkeypatch.setattr(engine, "build_matrix", counting)
-    return calls
+    return call_log
 
 
 @pytest.fixture

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -137,18 +141,20 @@ def _main_theorem_every_system(max_m, max_n, config):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_main_theorem_certifies_each_system_once_up_to_factor_order(monkeypatch, seed):
+def test_main_theorem_certifies_each_system_once_up_to_factor_order(
+    monkeypatch, call_log, seed
+):
     # (1,2)/(2,1), (1,3)/(3,1) and (2,3)/(3,2) in bidegrees (3,3) and (4,4)
-    # are factor swaps of each other: 27 systems, 21 questions
-    asked = []
-
+    # are factor swaps of each other: 27 systems, 21 questions.  The log
+    # counts the questions forked workers answer too.
     def counting(space, degree, config=None):
-        asked.append((space.factor_dims, degree.degrees))
+        call_log.append((space.factor_dims, degree.degrees))
         return is_defective(space, degree, config)
 
     monkeypatch.setattr(replication, "is_defective", counting)
     config = PrimeFieldConfig(seed=seed)
     report = verify_main_theorem(3, 3, config)
+    asked = call_log.values()
     assert len(asked) == len(set(asked)) == 21
     assert report == _main_theorem_every_system(3, 3, config)
     assert report["passed"]
@@ -172,3 +178,152 @@ def test_verify_ah_builds_one_matrix_per_attempt(build_calls):
         attempts += max(len(v.certificate.runs) for v in secant_dims(space, degree, rs))
     # the critical counts and every defective r share one draw per attempt
     assert built == attempts == 16
+
+
+# --- the drivers' questions on every allowed CPU ---------------------------
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread-count getter, which the fan-out needs."""
+    found = replication._openblas_threads()
+    if found is None:
+        pytest.skip("no OpenBLAS thread control, so the drivers run serially")
+    return found[0]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two allowed CPUs, whatever the machine allows, and a log of the
+    forks made by this process."""
+    made = []
+    real = os.fork
+
+    def counting():
+        made.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counting)
+    return made
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forbid_fork(monkeypatch):
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fanned_out_reports_equal_the_serial_ones(monkeypatch, blas_threads, forks, seed):
+    config = PrimeFieldConfig(seed=seed)
+    before = blas_threads()
+    fanned = [
+        json.dumps(verify_main_theorem(3, 3, config)),
+        json.dumps(verify_ah(config, 5, 6)),
+    ]
+    assert len(forks) == 2
+    _assert_no_child_left()
+    assert blas_threads() == before
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _forbid_fork(monkeypatch)
+    serial = [
+        json.dumps(verify_main_theorem(3, 3, config)),
+        json.dumps(verify_ah(config, 5, 6)),
+    ]
+    assert fanned == serial
+
+
+# P^1 in degrees 2 and 3: the parent answers the costlier degree-3 question
+# and the one child the degree-2 question
+_TWO_QUESTIONS = [
+    (MultiProjectiveSpace((1,)), Multidegree((2,))),
+    (MultiProjectiveSpace((1,)), Multidegree((3,))),
+]
+
+
+def test_a_question_raising_in_a_child_raises_here(blas_threads, forks):
+    def ask(space, degree):
+        if degree.degrees == (2,):
+            raise ValueError("no answer in the child")
+        return degree.degrees
+
+    before = blas_threads()
+    with pytest.raises(ValueError, match="no answer in the child"):
+        replication._answer_all(ask, _TWO_QUESTIONS)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert blas_threads() == before
+
+
+def test_a_child_killed_without_answering_raises_runtime_error(blas_threads, forks):
+    def ask(space, degree):
+        if degree.degrees == (2,):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return degree.degrees
+
+    before = blas_threads()
+    with pytest.raises(RuntimeError, match="exit status -9"):
+        replication._answer_all(ask, _TWO_QUESTIONS)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert blas_threads() == before
+
+
+def test_a_question_raising_here_kills_the_children(blas_threads, forks):
+    def ask(space, degree):
+        if degree.degrees == (2,):
+            time.sleep(60)  # the child would answer only after a minute
+        raise KeyError("no answer here")
+
+    before = blas_threads()
+    start = time.perf_counter()
+    with pytest.raises(KeyError, match="no answer here"):
+        replication._answer_all(ask, _TWO_QUESTIONS)
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert blas_threads() == before
+
+
+def test_the_split_keeps_the_costliest_question_here():
+    costs = [1, 5, 3, 2]
+    shares = replication._split(costs, 2)
+    assert sorted(i for share in shares for i in share) == [0, 1, 2, 3]
+    assert 1 in shares[0]
+    assert [sum(costs[i] for i in share) for share in shares] == [6, 5]
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def _no_blas_control(monkeypatch):
+    monkeypatch.setattr(replication, "_openblas_threads", lambda: None)
+
+
+@pytest.mark.parametrize("serial_because", [_one_cpu, _no_blas_control, None])
+def test_nothing_forks_where_the_drivers_stay_serial(monkeypatch, serial_because):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    expected = json.dumps(verify_ah(max_n=2, max_d=3))
+    _forbid_fork(monkeypatch)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30,))
+    if serial_because is None:  # a second live Python thread
+        other.start()
+    else:
+        serial_because(monkeypatch)
+    try:
+        assert json.dumps(verify_ah(max_n=2, max_d=3)) == expected
+    finally:
+        stop.set()
+        if other.is_alive():
+            other.join(timeout=30)
+    assert not other.is_alive()

@@ -149,6 +149,23 @@ def test_ideal_basis_size_counts_the_ideal_basis(data):
     assert ideal_basis_size(space, degree) == basis_size(space, degree)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_ideal_basis_is_the_filtered_monomial_basis(data):
+    # the filter rule: the monomials, in the canonical order, divisible by
+    # some vanishing coordinate of every subvariety
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    space = MultiProjectiveSpace(dims)
+    degree = Multidegree(tuple(data.draw(st.integers(0, 3)) for _ in dims))
+    subs = _subvarieties(data, dims)
+    offsets = space.coord_offsets()
+    coords = [[o + i for o, van in zip(offsets, sub.vanishing) for i in van] for sub in subs]
+    expected = [
+        m for m in monomial_basis(space, degree) if all(any(m[k] for k in c) for c in coords)
+    ]
+    assert ideal_basis(space, degree, subs) == expected
+
+
 def test_ideal_basis_size_of_the_registry():
     from fatpoints.replication import load_bundled_registry
 
