@@ -11,9 +11,22 @@ first certifies non-defectivity of the multidegree-(c,d) embeddings of
 P^m x P^n for small m, n; the second spot-checks the classification of
 defective Veronese embeddings.
 
-Both drivers ask independent questions, one system each, and
-`_answer_all` answers them on every CPU the process may run on: in this
-process and in one forked child per further CPU.  OpenBLAS is capped at
+Both drivers ask independent questions, one system each, and so does
+`run_basecases`, one fixture each.  `_answer_all` answers them on every
+CPU the process may run on: in this process and in one forked child per
+further CPU.  Every process pulls its next question from one shared queue
+when it finishes one, so the load balances by what the questions actually
+cost; a cost model ordered by basis_size ** 3 gave one process 43 ms and
+the other 100 ms of verify_ah(5, 6).  The queue is a pipe of fixed-size
+records, one question index each.  The parent writes them all, costliest
+first, in one write of at most PIPE_BUF bytes before it forks, which
+cannot block on a new pipe, and closes the write end, so a worker that
+reads end of file knows the queue is empty.  No record is split or read
+twice: a Linux pipe read takes its bytes under the pipe's lock, the pipe
+only ever holds whole records, and every read asks for exactly one record,
+so each read takes one whole record from the head of the pipe.  The parent
+answers the costliest question itself, before it reads the queue, so that
+its peak memory still sees the largest matrix.  OpenBLAS is capped at
 one thread for the length of the call, because a forked child that brings
 its own pool of spinning BLAS threads makes the pass several times slower
 on two CPUs, while a second BLAS thread buys nothing on matrices this
@@ -30,6 +43,7 @@ but that is unverified: the package is tested on Python 3.10 and 3.11.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import pickle
 import threading
@@ -50,6 +64,7 @@ from .spaces import (
     Multidegree,
     MultiProjectiveSpace,
     basis_size,
+    ideal_basis_size,
 )
 
 
@@ -263,14 +278,43 @@ def _case_matches(case: BaseCase, pattern: str | None) -> bool:
     return pattern in case.case_id or pattern == case.degree.label()
 
 
+def _basecase_entry(case: BaseCase, config: PrimeFieldConfig | None) -> dict:
+    """run_basecases' entry for one fixture."""
+    cert = dimension(case.space, case.degree, case.scheme, config)
+    return {
+        "id": case.case_id,
+        "space": list(case.space.factor_dims),
+        "degree": list(case.degree.degrees),
+        "type": case.scheme.type_label(),
+        "expected_status": case.expected,
+        "status": cert.status.value,
+        "computed_dim": cert.computed_dim,
+        "virtual_dim": cert.virtual_dim,
+        "rank": cert.rank,
+        "rows": cert.rows,
+        "cols": cert.cols,
+        "prime": cert.prime,
+        "seed": cert.seed,
+        "ok": status_matches(case.expected, cert),
+    }
+
+
+def _fixture_cost(case: BaseCase) -> int:
+    """cols * rows * min(cols, rows), the work of eliminating a fixture's
+    matrix, counted from the fixture without building it."""
+    cols = ideal_basis_size(case.space, case.degree, case.scheme.contained)
+    rows = case.scheme.conditions(case.space.ambient_dim())
+    return cols * rows * min(cols, rows)
+
+
 def run_basecases(
     filter: str | None = None,
     config: PrimeFieldConfig | None = None,
     cases: list[BaseCase] | None = None,
 ) -> dict:
-    """Replay the fixture registry through the engine.  The report is
-    deterministic for a fixed config (no timestamps or timings) and is
-    ordered by fixture id."""
+    """Replay the fixture registry through the engine, the fixtures on
+    every allowed CPU (_answer_all).  The report is deterministic for a
+    fixed config (no timestamps or timings) and is ordered by fixture id."""
     if cases is None:
         cases = load_bundled_registry()
     selected = [c for c in cases if _case_matches(c, filter)]
@@ -279,31 +323,10 @@ def run_basecases(
         raise ValueError(f"no fixture matches the filter {filter!r}")
     selected.sort(key=lambda c: c.case_id)
 
-    entries = []
-    failed = []
-    for case in selected:
-        cert = dimension(case.space, case.degree, case.scheme, config)
-        ok = status_matches(case.expected, cert)
-        if not ok:
-            failed.append(case.case_id)
-        entries.append(
-            {
-                "id": case.case_id,
-                "space": list(case.space.factor_dims),
-                "degree": list(case.degree.degrees),
-                "type": case.scheme.type_label(),
-                "expected_status": case.expected,
-                "status": cert.status.value,
-                "computed_dim": cert.computed_dim,
-                "virtual_dim": cert.virtual_dim,
-                "rank": cert.rank,
-                "rows": cert.rows,
-                "cols": cert.cols,
-                "prime": cert.prime,
-                "seed": cert.seed,
-                "ok": ok,
-            }
-        )
+    entries = _answer_all(
+        lambda case: _basecase_entry(case, config), selected, _fixture_cost
+    )
+    failed = [e["id"] for e in entries if not e["ok"]]
     return {
         "cases": entries,
         "total": len(entries),
@@ -315,6 +338,10 @@ def run_basecases(
 
 # --- answering independent questions on every allowed CPU ----------------
 
+_PIPE_BUF = 4096  # Linux's PIPE_BUF: a new pipe takes this much in one write
+_RECORD = 2  # bytes of one question index in the queue
+_MAX_QUESTIONS = _PIPE_BUF // _RECORD + 1  # the first question is not queued
+
 
 def _allowed_cpus() -> int:
     try:
@@ -323,10 +350,12 @@ def _allowed_cpus() -> int:
         return 1
 
 
+@functools.cache
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS library numpy loaded,
     found through its own symbols; None when there is none (another BLAS,
-    or no /proc/self/maps to find it in)."""
+    or no /proc/self/maps to find it in).  The library is looked up once
+    per process; the count itself is read and set on every call."""
     try:
         with open("/proc/self/maps") as fh:
             libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
@@ -349,29 +378,25 @@ def _openblas_threads():
     return None
 
 
-def _split(costs: list[int], workers: int) -> list[list[int]]:
-    """Question indices per worker, by longest processing time first: each
-    question, costliest first, goes to the least loaded worker.  Worker 0
-    is this process, and it takes the costliest question, so this process's
-    peak memory still sees the largest matrix."""
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        w = loads.index(min(loads))
-        shares[w].append(i)
-        loads[w] += costs[i]
-    return [sorted(share) for share in shares]
+def _take(ask, questions, queue: int) -> list[tuple[int, object]]:
+    """(index, answer) for each question taken from the queue, until it is
+    empty.  Each read takes one whole record (see the module docstring)."""
+    pairs = []
+    while record := os.read(queue, _RECORD):
+        i = int.from_bytes(record, "little")
+        pairs.append((i, ask(questions[i])))
+    return pairs
 
 
-def _answer_in_child(ask, questions, share, r: int, w: int) -> None:
-    """The body of a forked worker.  It writes (True, answers) or (False,
-    exception) to w and leaves by os._exit, whatever happens: it must never
-    return into the stack it was forked from."""
+def _answer_in_child(ask, questions, queue: int, r: int, w: int) -> None:
+    """The body of a forked worker.  It writes (True, (index, answer)
+    pairs) or (False, exception) to w and leaves by os._exit, whatever
+    happens: it must never return into the stack it was forked from."""
     code = 1
     try:
         os.close(r)
         try:
-            payload = (True, [ask(*questions[i]) for i in share])
+            payload = (True, _take(ask, questions, queue))
         except Exception as exc:
             payload = (False, exc)
         with open(w, "wb") as fh:
@@ -381,61 +406,77 @@ def _answer_in_child(ask, questions, share, r: int, w: int) -> None:
         os._exit(code)
 
 
-def _answer_all(ask, questions: list[tuple[MultiProjectiveSpace, Multidegree]]) -> list:
-    """[ask(space, degree) for each question], in question order.
+def _answer_all(ask, questions: list, cost) -> list:
+    """[ask(q) for q in questions], in question order.
 
     The answers come from this process and from one forked child per
     further allowed CPU, with OpenBLAS capped at one thread for the length
-    of the call (see the module docstring).  The questions are split by
-    basis_size ** 3, the cost of an elimination.  The plain loop runs
+    of the call (see the module docstring).  Each process takes the next
+    question from one shared queue when it finishes one; cost(q) only
+    orders the queue, costliest first, and this process answers the
+    costliest question before it reads the queue.  More than _MAX_QUESTIONS
+    questions are refused, before any is asked.  The plain loop runs
     instead when only one CPU is allowed, there are fewer than two
     questions, another Python thread is running, or no OpenBLAS thread
     control is found.  A question that raises in a child raises the same
     exception here; a child that dies without answering raises
     RuntimeError.  Every child is reaped before this returns or raises."""
+    if len(questions) > _MAX_QUESTIONS:
+        raise ValueError(
+            f"{len(questions)} questions exceed the queue's {_MAX_QUESTIONS}"
+        )
     workers = min(_allowed_cpus(), len(questions))
     blas = None
     if workers > 1 and threading.active_count() == 1:
         blas = _openblas_threads()
     if blas is None:
-        return [ask(*q) for q in questions]
+        return [ask(q) for q in questions]
     get_threads, set_threads = blas
-    shares = _split([basis_size(*q) ** 3 for q in questions], workers)
+    order = sorted(range(len(questions)), key=lambda i: -cost(questions[i]))
     before = get_threads()
     set_threads(1)
     try:
-        return _fan_out(ask, questions, shares)
+        return _fan_out(ask, questions, order, workers - 1)
     finally:
         set_threads(before)
 
 
-def _fan_out(ask, questions, shares: list[list[int]]) -> list:
-    """_answer_all's answers: shares[0] here, each further share in a
-    forked child, which is killed if this process's share raises."""
+def _fan_out(ask, questions, order: list[int], children: int) -> list:
+    """_answer_all's answers: order[0] here, then the queue of order[1:],
+    read here and in `children` forked children, which are killed if this
+    process raises."""
+    queue, fill = os.pipe()
+    try:
+        # one write of at most _PIPE_BUF bytes into a new pipe cannot block
+        os.write(fill, b"".join(i.to_bytes(_RECORD, "little") for i in order[1:]))
+    finally:
+        os.close(fill)
     answers = [None] * len(questions)
-    children = []  # (pid, read end of its pipe), one per shares[1:]
+    procs = []  # (pid, read end of its pipe), one per child
     outputs = None
     statuses = []
     try:
-        for share in shares[1:]:
+        for _ in range(children):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _answer_in_child(ask, questions, share, r, w)
+                _answer_in_child(ask, questions, queue, r, w)
             os.close(w)
-            children.append((pid, os.fdopen(r, "rb")))
-        for i in shares[0]:
-            answers[i] = ask(*questions[i])
-        outputs = [reader.read() for _, reader in children]
+            procs.append((pid, os.fdopen(r, "rb")))
+        answers[order[0]] = ask(questions[order[0]])
+        for i, answer in _take(ask, questions, queue):
+            answers[i] = answer
+        outputs = [reader.read() for _, reader in procs]
     finally:
-        for pid, reader in children:
+        os.close(queue)
+        for pid, reader in procs:
             reader.close()
             if outputs is None:
                 import signal  # here, so that importing the package adds no module
 
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for share, data, status in zip(shares[1:], outputs, statuses):
+    for data, status in zip(outputs, statuses):
         if status != 0:
             raise RuntimeError(
                 f"a worker process ended without answering (exit status {status})"
@@ -443,7 +484,7 @@ def _fan_out(ask, questions, shares: list[list[int]]) -> list:
         answered, value = pickle.loads(data)
         if not answered:
             raise value
-        for i, answer in zip(share, value):
+        for i, answer in value:
             answers[i] = answer
     return answers
 
@@ -486,8 +527,9 @@ def verify_main_theorem(
     for space, degree in systems:
         questions.setdefault(key(space, degree), (space, degree))
     answers = _answer_all(
-        lambda space, degree: is_defective(space, degree, config),
+        lambda q: is_defective(*q, config),
         list(questions.values()),
+        lambda q: basis_size(*q) ** 3,
     )
     reports = dict(zip(questions, answers))
     entries = []
@@ -554,7 +596,8 @@ def verify_ah(
     pairs = [(n, d) for n in range(1, max_n + 1) for d in range(2, max_d + 1)]
     pairs.append((5, 2))
     entries = _answer_all(
-        lambda space, degree: _ah_entry(space, degree, config),
+        lambda q: _ah_entry(*q, config),
         [(MultiProjectiveSpace((n,)), Multidegree((d,))) for n, d in pairs],
+        lambda q: basis_size(*q) ** 3,
     )
     return {"cases": entries, "passed": all(e["ok"] for e in entries)}

@@ -241,64 +241,160 @@ def test_fanned_out_reports_equal_the_serial_ones(monkeypatch, blas_threads, for
     assert fanned == serial
 
 
-# P^1 in degrees 2 and 3: the parent answers the costlier degree-3 question
-# and the one child the degree-2 question
-_TWO_QUESTIONS = [
-    (MultiProjectiveSpace((1,)), Multidegree((2,))),
-    (MultiProjectiveSpace((1,)), Multidegree((3,))),
-]
+def _answer_two(ask):
+    """_answer_all on two questions, each its own cost: this process
+    answers 3, and the one child takes 2 from the queue unless this process
+    gets to it first."""
+    return replication._answer_all(ask, [2, 3], lambda q: q)
 
 
-def test_a_question_raising_in_a_child_raises_here(blas_threads, forks):
-    def ask(space, degree):
-        if degree.degrees == (2,):
-            raise ValueError("no answer in the child")
-        return degree.degrees
+def _wait_for_a_child(call_log):
+    """Hold this process until a forked child has logged that it took a
+    question, so that the child's question cannot be taken here first."""
+    deadline = time.monotonic() + 30
+    while not len(call_log):
+        assert time.monotonic() < deadline, "no child took a question"
+        time.sleep(0.01)
+
+
+def test_a_question_raising_in_a_child_raises_here(blas_threads, forks, call_log):
+    here = os.getpid()
+
+    def ask(q):
+        if os.getpid() == here:
+            _wait_for_a_child(call_log)
+            return q
+        call_log.append(os.getpid())
+        raise ValueError("no answer in the child")
 
     before = blas_threads()
     with pytest.raises(ValueError, match="no answer in the child"):
-        replication._answer_all(ask, _TWO_QUESTIONS)
+        _answer_two(ask)
     assert len(forks) == 1
     _assert_no_child_left()
     assert blas_threads() == before
 
 
-def test_a_child_killed_without_answering_raises_runtime_error(blas_threads, forks):
-    def ask(space, degree):
-        if degree.degrees == (2,):
-            os.kill(os.getpid(), signal.SIGKILL)
-        return degree.degrees
+def test_a_child_killed_without_answering_raises_runtime_error(
+    blas_threads, forks, call_log
+):
+    here = os.getpid()
+
+    def ask(q):
+        if os.getpid() == here:
+            _wait_for_a_child(call_log)
+            return q
+        call_log.append(os.getpid())
+        os.kill(os.getpid(), signal.SIGKILL)
 
     before = blas_threads()
     with pytest.raises(RuntimeError, match="exit status -9"):
-        replication._answer_all(ask, _TWO_QUESTIONS)
+        _answer_two(ask)
     assert len(forks) == 1
     _assert_no_child_left()
     assert blas_threads() == before
 
 
-def test_a_question_raising_here_kills_the_children(blas_threads, forks):
-    def ask(space, degree):
-        if degree.degrees == (2,):
-            time.sleep(60)  # the child would answer only after a minute
-        raise KeyError("no answer here")
+def test_a_question_raising_here_kills_the_children(blas_threads, forks, call_log):
+    here = os.getpid()
+
+    def ask(q):
+        if os.getpid() == here:
+            _wait_for_a_child(call_log)
+            raise KeyError("no answer here")
+        call_log.append(os.getpid())
+        time.sleep(60)  # the child would answer only after a minute
+        return q
 
     before = blas_threads()
     start = time.perf_counter()
     with pytest.raises(KeyError, match="no answer here"):
-        replication._answer_all(ask, _TWO_QUESTIONS)
+        _answer_two(ask)
     assert time.perf_counter() - start < 30
     assert len(forks) == 1
     _assert_no_child_left()
     assert blas_threads() == before
 
 
-def test_the_split_keeps_the_costliest_question_here():
-    costs = [1, 5, 3, 2]
-    shares = replication._split(costs, 2)
-    assert sorted(i for share in shares for i in share) == [0, 1, 2, 3]
-    assert 1 in shares[0]
-    assert [sum(costs[i] for i in share) for share in shares] == [6, 5]
+def test_this_process_answers_the_costliest_question_first(
+    blas_threads, forks, call_log
+):
+    questions = [1, 5, 3, 2, 4]
+
+    def ask(q):
+        call_log.append((os.getpid(), q))
+        return -q
+
+    before = blas_threads()
+    answers = replication._answer_all(ask, questions, lambda q: q)
+    assert answers == [-q for q in questions]
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert blas_threads() == before
+    asked = call_log.values()
+    assert sorted(q for _, q in asked) == sorted(questions)
+    here = [q for pid, q in asked if pid == os.getpid()]
+    assert here[0] == max(questions)
+
+
+def test_the_largest_queue_answers_each_question_once_in_order(
+    monkeypatch, blas_threads, forks, call_log
+):
+    # four allowed CPUs: on a smaller machine the workers outnumber the cores
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    questions = list(range(replication._MAX_QUESTIONS))
+
+    def ask(q):
+        call_log.append(q)
+        return q * q
+
+    before = blas_threads()
+    answers = replication._answer_all(ask, questions, lambda q: q % 7)
+    assert answers == [q * q for q in questions]
+    assert sorted(call_log.values()) == questions
+    assert len(forks) == 3
+    _assert_no_child_left()
+    assert blas_threads() == before
+
+
+def test_one_question_more_than_the_queue_holds_is_refused(forks):
+    questions = list(range(replication._MAX_QUESTIONS + 1))
+    with pytest.raises(ValueError, match="exceed the queue"):
+        replication._answer_all(lambda q: q, questions, lambda q: q)
+    assert forks == []
+
+
+def _corrupted_registry():
+    """The bundled registry with 33-1x1-triple's multiplicities raised by
+    one, so that its expected status no longer holds."""
+    cases = load_bundled_registry()
+    i = next(i for i, c in enumerate(cases) if c.case_id == "33-1x1-triple")
+    case = cases[i]
+    bad_scheme = dataclasses.replace(case.scheme)
+    bad_scheme.points = [FatPoint(p.multiplicity + 1, p.spec) for p in case.scheme.points]
+    cases[i] = BaseCase(case.case_id, case.space, case.degree, case.expected, bad_scheme)
+    return cases
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("registry", [None, _corrupted_registry])
+def test_fanned_out_basecases_equal_the_serial_ones(
+    monkeypatch, blas_threads, forks, seed, registry
+):
+    config = PrimeFieldConfig(seed=seed)
+    cases = registry and registry()
+    before = blas_threads()
+    fanned = json.dumps(run_basecases(config=config, cases=cases))
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert blas_threads() == before
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _forbid_fork(monkeypatch)
+    serial = json.dumps(run_basecases(config=config, cases=cases))
+    assert fanned == serial
+    failed = json.loads(fanned)["failed"]
+    assert failed == ([] if registry is None else ["33-1x1-triple"])
 
 
 def _one_cpu(monkeypatch):
