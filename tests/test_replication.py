@@ -92,12 +92,20 @@ def test_filter_44():
     assert report["passed"]
 
 
-def test_corrupted_fixture_reported():
+def _corrupted_registry():
+    """The bundled registry with 33-1x1-triple's multiplicities raised by
+    one, so that its expected status no longer holds."""
     cases = load_bundled_registry()
-    case = next(c for c in cases if c.case_id == "33-1x1-triple")
+    i = next(i for i, c in enumerate(cases) if c.case_id == "33-1x1-triple")
+    case = cases[i]
     bad_scheme = dataclasses.replace(case.scheme)
     bad_scheme.points = [FatPoint(p.multiplicity + 1, p.spec) for p in case.scheme.points]
-    bad = BaseCase(case.case_id, case.space, case.degree, case.expected, bad_scheme)
+    cases[i] = BaseCase(case.case_id, case.space, case.degree, case.expected, bad_scheme)
+    return cases
+
+
+def test_corrupted_fixture_reported():
+    bad = next(c for c in _corrupted_registry() if c.case_id == "33-1x1-triple")
     report = run_basecases(cases=[bad])
     assert not report["passed"]
     assert report["failed"] == ["33-1x1-triple"]
@@ -362,18 +370,6 @@ def test_one_question_more_than_the_queue_holds_is_refused(forks):
     with pytest.raises(ValueError, match="exceed the queue"):
         replication._answer_all(lambda q: q, questions, lambda q: q)
     assert forks == []
-
-
-def _corrupted_registry():
-    """The bundled registry with 33-1x1-triple's multiplicities raised by
-    one, so that its expected status no longer holds."""
-    cases = load_bundled_registry()
-    i = next(i for i, c in enumerate(cases) if c.case_id == "33-1x1-triple")
-    case = cases[i]
-    bad_scheme = dataclasses.replace(case.scheme)
-    bad_scheme.points = [FatPoint(p.multiplicity + 1, p.spec) for p in case.scheme.points]
-    cases[i] = BaseCase(case.case_id, case.space, case.degree, case.expected, bad_scheme)
-    return cases
 
 
 @pytest.mark.parametrize("seed", [0, 1])
