@@ -20,9 +20,11 @@ point.  A monomial x^e is a product of factor monomials and beta splits
 into one part beta_f per factor, so d^beta x^e (q) is the product over the
 factors f of D_f[q, beta_f, e_f]: the rows of a point are Kronecker
 products of rows of per-factor tables, each in the point's own chart.
-build_matrix makes the tables of the points of one multiplicity, _CHUNK
-rows' worth at a time, over the orders they need and the factor monomials
-the kept columns use.  It stores the conditions as columns: the matrix is
+build_matrix makes the tables of a run of consecutive points of one
+multiplicity, _CHUNK rows' worth at a time, over the orders they need and
+the factor monomials the kept columns use, and makes their last product in
+the batch's rows of the matrix, so the build holds the matrix and one
+batch's tables.  It stores the conditions as columns: the matrix is
 the transpose of a C-contiguous (columns, rows) array, the layout in which
 dimensions() eliminates it.
 
@@ -33,21 +35,23 @@ update per pivot) makes every pivot.  Matrices of more than four panels of
 32 columns are eliminated blockwise: the loop runs Gauss-Jordan on a
 panel's leading rows, doubled until every column has a pivot, for its
 pivots, row swaps and the inverse of its pivot block; the rows below are
-updated by one float64 (BLAS) product per chunk of rows, on 16-bit limbs,
-so with at most 32 inner terms every entry stays below 2^53 and is exact.
-Updated entries are reduced mod p only when a panel reads them, and in
-full every eight panels.  The last columns, and narrower matrices, use the
-loop alone, clearing only the rows below each pivot.
+updated by one float64 (BLAS) product per chunk of 128 rows, on 16-bit
+limbs, so with at most 32 inner terms every entry is an integer below 2^53
+and exact, and it is added into the int64 rows with an exact cast, without
+an int64 copy.  Updated entries are reduced mod p only when a panel reads
+them, and in full every eight panels, which keeps them below 2^56.  The
+last columns, and narrower matrices, use the loop alone, clearing only the
+rows below each pivot.
 
 Points are drawn in order from one seeded stream, so the rows of the first
 k points of a scheme are a row prefix of its matrix.  The row rank profile
 (the column rank profile of the transpose) gives the rank of every such
 prefix from one elimination: dimensions() certifies several point prefixes
-of one scheme with one matrix per attempt, which it eliminates in place
-(_rank_profile), so an attempt holds one int64 copy of its matrix.
-secant.secant_dims asks it for
-every r of one draw of double points (is_defective, secant_dim and verify_ah
-go through it), and theorem_hypotheses asks it once per fat-point head.
+of one scheme with one matrix per attempt, which it builds and eliminates
+in place (_rank_profile), so an attempt holds one int64 copy of its matrix
+and one chunk.  secant.secant_dims asks it for every r of one draw of
+double points (is_defective, secant_dim and verify_ah go through it), and
+theorem_hypotheses asks it once per fat-point head.
 """
 from __future__ import annotations
 
@@ -56,6 +60,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
+from itertools import groupby
 from math import factorial, perm, prod
 
 import numpy as np
@@ -70,9 +76,11 @@ RETRIES = 2  # fresh seeds at the configured prime before the alternate one
 MAX_COLUMNS = 4096
 
 
+@cache
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with bases 2, 3, 5, 7: exact for every
-    n < 3215031751, which covers the 31-bit primes the engine accepts."""
+    n < 3215031751, which covers the 31-bit primes the engine accepts.
+    Memoised: a run builds many configs over a few primes."""
     if n < 11:
         return n in (2, 3, 5, 7)
     d, s = n - 1, 0
@@ -309,11 +317,21 @@ def build_matrix(
     A = np.empty((ncols, starts[-1] + len(scheme.jets)), dtype=np.int64).T
     aff = np.cumsum((0,) + space.factor_dims)  # each factor's affine coordinates
 
-    def rows(pts, betas):
-        """The rows d^beta x^e (q) over the basis columns, mod p, for the
-        multi-indices betas at each of the points pts: per point, the
-        Kronecker products of its factor rows."""
+    def mulmod(x, y, out=None):
+        """x * y mod p, broadcast, made in out when it is given."""
+        out = np.multiply(x, y, out=out)
+        return np.remainder(out, p, out=out)
+
+    def rows(pts, betas, out):
+        """Write into out, a (len(pts) len(betas), ncols) array, the rows
+        d^beta x^e (q) over the basis columns, mod p, for the multi-indices
+        betas at each of the points pts: per point, the Kronecker products
+        of its factor rows.  The last product, with the last factor or, in
+        one factor, with its last coordinate, is made in out; where `take`
+        drops columns it is made whole and np.take writes the kept ones."""
         B = np.array(betas, dtype=np.intp)
+        n = len(pts) * len(B)
+        whole = out if take is None else np.empty((n, prod(map(len, monos))), dtype=np.int64)
         # W[i, k, b, e] = ff(e, b) q_k^(e - b), the order-b derivative of x_k^e
         # at the i-th point, for every coordinate k; the falling factorial
         # ff(e, b) = e (e - 1) ... (e - b + 1) is 0 where e < b
@@ -326,32 +344,47 @@ def build_matrix(
         b, e = np.ogrid[: top + 1, : maxdeg + 1]
         W = pows[..., np.maximum(e - b, 0)] * ff % p
         i = np.arange(len(pts))[:, None, None]
-        R = None
-        for f, (off, c, X) in enumerate(zip(offs, counts, monos)):
-            # the factor table D[i, r, u]: the product over the factor's
-            # affine coordinates j (in order, skipping the point's chart
-            # coordinate) of the derivatives of their powers in each monomial
+
+        def table(f, into=None):
+            """The factor table D[i r, u]: the product over factor f's affine
+            coordinates j (in order, skipping the point's chart coordinate)
+            of the derivatives of their powers in each monomial, the last
+            product made in into."""
+            off, c, X = offs[f], counts[f], monos[f]
             D = None
             for k in range(c - 1):
                 j = off + k + (off + k >= charts[pts, f])
                 # the derivatives of every order b, then each row's order
                 P = W[i, j[:, None, None], b, X.T[j - off][:, None]][:, B[:, aff[f] + k]]
-                D = P if D is None else D * P % p
-            D = D.reshape(len(pts) * len(B), -1)
-            if R is not None:
-                D = R[:, :, None] * D[:, None, :]
-                D %= p
-            R = D.reshape(len(pts) * len(B), -1)
-        return R if take is None else R[:, take]
+                P = P.reshape(n, -1)
+                D = P if D is None else mulmod(D, P, into if k == c - 2 else None)
+            return D
 
-    for a in sorted(set(mults)):
-        group = [i for i, m in enumerate(mults) if m == a]
+        if len(monos) == 1:
+            R = table(0, whole)
+            if R is not whole:  # one coordinate: there is no product to make
+                whole[...] = R
+        else:
+            R = table(0)
+            for f in range(1, len(monos)):
+                D = table(f)
+                into = whole.reshape(n, R.shape[1], D.shape[1]) if f == len(monos) - 1 else None
+                R = mulmod(R[:, :, None], D[:, None, :], into).reshape(n, -1)
+        if take is not None:
+            np.take(whole, take, axis=1, out=out)
+
+    # batches of consecutive points of one multiplicity, at most _CHUNK rows
+    # (or one point) each: the rows of a batch are one range of the matrix,
+    # which rows() fills in place
+    first = 0
+    for a, run in groupby(mults):
         betas = list(_derivative_multiindices(a, N))
-        # at most _CHUNK rows' worth of points at a time
+        stop = first + len(list(run))
         step = max(1, _CHUNK // len(betas))
-        for s in range(0, len(group), step):
-            batch = group[s : s + step]
-            A[(starts[batch][:, None] + np.arange(len(betas))).ravel()] = rows(batch, betas)
+        for s in range(first, stop, step):
+            t = min(s + step, stop)
+            rows(np.arange(s, t), betas, A[starts[s] : starts[t]])
+        first = stop
 
     for ji, jet in enumerate(scheme.jets):
         # order-kappa Taylor term along t, sum over |beta| = kappa of
@@ -363,7 +396,8 @@ def build_matrix(
             prod(pow(t, b, p) * inv_fact[b] for t, b in zip(directions[ji], beta)) % p
             for beta in betas
         ])
-        R = rows([jet.base_index], betas)
+        R = np.empty((len(betas), ncols), dtype=np.int64)
+        rows([jet.base_index], betas, R)
         A[starts[-1] + ji] = (coef[:, None] * R % p).sum(axis=0) % p
 
     return InterpolationMatrix(A)
@@ -374,9 +408,9 @@ def build_matrix(
 # (there the panel copies cost more than the matrix products save), and the
 # panels between full reductions of the trailing block.  _PANEL bounds the
 # inner dimension of every product in rank_fp, which keeps it exact in
-# float64 (see _mulmod).
+# float64 (see _limb_product).
 _PANEL = 32
-_CHUNK = 256
+_CHUNK = 128
 _NARROW = 4 * _PANEL
 _DELAY = 8
 
@@ -398,14 +432,15 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
     modified: the elimination (_rank_profile, in place) runs on a reduced
     C-contiguous copy.  dimensions() skips that copy and the reduction, as
     its matrices are built conditions-as-columns, in [0, p), and used once.
-    Matrices wider than _NARROW columns are eliminated in panels of _PANEL columns.  _panel gives a
-    panel's pivots, its row swaps, which are applied to A, and the inverse
-    of its pivot block, which solves the pivot rows to [I | U12]; the rows
-    below, whose entries in the pivot columns are X, get A22 += X (-U12),
-    one float64 matrix product on 16-bit limbs per chunk of _CHUNK rows (see
-    _mulmod).  A22 is reduced mod p only where it is read next, and in full
-    every _DELAY panels.  The last _NARROW columns, and narrow matrices, go
-    to _echelon alone.
+    Matrices wider than _NARROW columns are eliminated in panels of _PANEL
+    columns.  _panel gives a panel's pivots, its row swaps, which are
+    applied to A, and the inverse of its pivot block, which solves the pivot
+    rows to [I | U12]; the rows below, whose entries in the pivot columns
+    are X, get A22 += X (-U12), one float64 matrix product on 16-bit limbs
+    per chunk of _CHUNK rows (_limb_product), added into A22 in int64.
+    A22 is reduced mod p only where it is read next, and in full every
+    _DELAY panels.  The last _NARROW columns, and narrow matrices, go to
+    _echelon alone.
     """
     if not 2 <= p < 2**31:
         raise ValueError(f"rank_profile needs 2 <= p < 2^31, got {p}")
@@ -416,14 +451,20 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
 def _rank_profile(A: np.ndarray, p: int) -> list[int]:
     """rank_profile of A, a C-contiguous int64 array with entries in
     [0, p), as build_matrix gives them, which it eliminates in place: A is
-    overwritten."""
+    overwritten.
+
+    Each chunk's float64 product is added straight into its int64 rows: its
+    entries are integers below 2^53 (_limb_product), so the cast is exact,
+    and only the product, one chunk, is held beside A.  An entry takes at
+    most _DELAY such updates, each below 3 * 2^51, between the reductions,
+    so it stays below 2^56, exact in int64."""
     m, n = A.shape
     profile: list[int] = []
     r = c = 0
     while r < m and n - c > _NARROW:
         c1 = c + _PANEL
         # trailing updates are added unreduced, each below 2^53: reducing
-        # every _DELAY panels keeps the entries below 2^56, exact in int64
+        # every _DELAY panels keeps the entries below 2^56
         if c // _PANEL % _DELAY == _DELAY - 1:
             A[r:, c1:] %= p
         A[r:, c:c1] %= p
@@ -435,7 +476,9 @@ def _rank_profile(A: np.ndarray, p: int) -> list[int]:
         if k:
             U = _limbs(_mulmod(-inv % p, _limbs(A[r : r + k, c1:] % p), p) % p)
             for s in range(r + k, m, _CHUNK):
-                A[s : s + _CHUNK, c1:] += _mulmod(A[s : s + _CHUNK, J], U, p)
+                # the add casts the product to int64 as it goes, exactly
+                block, X = A[s : s + _CHUNK, c1:], A[s : s + _CHUNK, J]
+                np.add(block, _limb_product(X, U, p), out=block, dtype=np.int64, casting="unsafe")
         profile += J
         r, c = r + k, c1
     if c:
@@ -501,20 +544,28 @@ def _panel(P: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]], np.
 
 
 def _limbs(U: np.ndarray) -> np.ndarray:
-    """The 16-bit limbs of U (int64 in [0, 2^31)) for _mulmod: hi = U >> 16
-    stacked above lo = U & 0xFFFF, in float64."""
+    """The 16-bit limbs of U (int64 in [0, 2^31)) for _limb_product:
+    hi = U >> 16 stacked above lo = U & 0xFFFF, in float64."""
     return np.concatenate([U >> 16, U & 0xFFFF]).astype(np.float64)
 
 
-def _mulmod(X: np.ndarray, L: np.ndarray, p: int) -> np.ndarray:
-    """An int64 matrix congruent to X @ U mod p, for X in [0, p) and
-    L = _limbs(U): [X * 2^16 mod p | X] @ [hi; lo] in float64 (BLAS).
+def _limb_product(X: np.ndarray, L: np.ndarray, p: int) -> np.ndarray:
+    """A float64 matrix congruent to X @ U mod p, for X in [0, p) and
+    L = _limbs(U): [X * 2^16 mod p | X] @ [hi; lo] (BLAS).
 
-    With p < 2^31 and at most _PANEL = 2^5 columns in X, every entry is
-    below 2^5 * (2^31 * 2^15 + 2^31 * 2^16) < 2^53, so float64 computes it
-    exactly."""
+    With p < 2^31 and at most _PANEL = 2^5 columns in X, every entry is an
+    integer below 2^5 * (2^31 * 2^15 + 2^31 * 2^16) = 3 * 2^51 < 2^53, so
+    float64 computes it exactly, and its cast to int64 is exact too."""
     S = np.concatenate([X * 65536 % p, X], axis=1).astype(np.float64)
-    return (S @ L).astype(np.int64)
+    return S @ L
+
+
+def _mulmod(X: np.ndarray, L: np.ndarray, p: int) -> np.ndarray:
+    """An int64 matrix congruent to X @ U mod p: _limb_product(X, L, p),
+    whose entries are integers below 2^53, cast exactly.  _rank_profile
+    makes U12 with it; its trailing updates add _limb_product into A22
+    themselves, without this int64 copy."""
+    return _limb_product(X, L, p).astype(np.int64)
 
 
 def dimension(
@@ -545,7 +596,8 @@ def dimensions(
     matrix once, or only the longest prefix still open, eliminates it in
     place (conditions as columns, as build_matrix lays it out), and reads
     the rank of every open prefix off its row rank profile; so one copy of
-    the matrix is alive per attempt.  Each prefix keeps its own
+    the matrix and one chunk (_CHUNK rows of a build batch or of a trailing
+    update's product) are alive per attempt.  Each prefix keeps its own
     runs and stops at its own first certifying attempt.  Jet rows come last,
     so a scheme with jets has no proper prefixes.
 

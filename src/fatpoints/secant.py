@@ -146,6 +146,16 @@ def is_defective(
     degree: Multidegree,
     config: PrimeFieldConfig | None = None,
 ) -> DefectivityReport:
+    """Certify non-defectivity at the critical numbers of double points
+    (critical_r).  A system of fewer than N + 1 monomials has none, as one
+    double point already imposes more conditions than it has monomials,
+    and is refused."""
+    L, N1 = basis_size(space, degree), space.ambient_dim() + 1
+    if L < N1:
+        raise ValueError(
+            f"fewer monomials ({L}) than N + 1 = {N1}: "
+            "no number of double points is critical"
+        )
     r_low, r_high = critical_r(space, degree)
     low, high = secant_dims(space, degree, [r_low, r_high], config)
     return DefectivityReport(

@@ -55,6 +55,11 @@ def test_usage_errors_exit64(capsys):
                    "--scheme", "2")[0] == 64
     assert run_cli(capsys, "dim", "--space", "1x1", "--deg", "3,3",
                    "--scheme", "nope")[0] == 64
+    # no critical number of double points: fewer monomials than N + 1
+    for space, deg, counts in (("1x1", "1,0", "fewer monomials (2) than N + 1 = 3"),
+                               ("1", "0", "fewer monomials (1) than N + 1 = 2")):
+        code, _, err = run_cli(capsys, "defective", "--space", space, "--deg", deg)
+        assert code == 64 and counts in err, err
 
 
 def test_defective_exit_codes(capsys):

@@ -16,10 +16,13 @@ from fatpoints.engine import (
     Certificate,
     DimensionVerdict,
     PrimeFieldConfig,
+    _DELAY,
     _NARROW,
     _PANEL,
     _echelon,
+    _is_prime,
     _panel,
+    _rank_profile,
     build_matrix,
     dimension,
     dimensions,
@@ -134,6 +137,34 @@ def test_rank_fp_exact_at_the_limb_bound(p):
     assert rank_fp(np.vstack([top, rest]), p) == b
 
 
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, ALTERNATE_PRIME])
+def test_rank_fp_exact_over_delayed_reductions(p):
+    # 2 _DELAY - 1 panels of pivots: R_t, the pivot rows of panel t, are
+    # [0 | I | 2] with I on panel t, so every panel solves to U = p - 2 (both
+    # limbs near 2^16).  The rows below are (p - 2) times the sum of all R_t,
+    # so each panel sees them as p - 2 in its columns (X * 2^16 mod p near
+    # p too): every update adds about 0.75 * 2^53 to each of their trailing
+    # entries.  The last columns take the updates of panels _DELAY - 1 to
+    # 2 _DELAY - 2, _DELAY of them, after the reduction at panel _DELAY - 1,
+    # and must still cancel exactly to rank (2 _DELAY - 1) _PANEL; a rounded
+    # product (float32, say) leaves the rank above it.  Eliminated in place,
+    # the entries stay below 2^56, the bound the reductions keep: all
+    # 2 _DELAY - 1 updates of one entry add up to about 2^56.5.
+    panels = 2 * _DELAY - 1
+    n = _NARROW + panels * _PANEL  # the loop stops after the last panel
+    R = np.zeros((panels * _PANEL, n), dtype=np.int64)
+    for t in range(panels):
+        panel = slice(t * _PANEL, (t + 1) * _PANEL)
+        R[panel, panel] = np.eye(_PANEL, dtype=np.int64)
+        R[panel, (t + 1) * _PANEL :] = 2
+    below = (p - 2) * R.sum(axis=0) % p
+    M = np.vstack([R, np.tile(below, (_PANEL + 5, 1))])
+    assert rank_fp(M, p) == panels * _PANEL
+    A = M.copy()
+    assert len(_rank_profile(A, p)) == panels * _PANEL
+    assert 0 <= A.min() and A.max() < 2**56, A.max() / 2**56
+
+
 def _unit_lower(rng, m, k, p):
     """A row permutation of a random unit lower triangular m x k matrix."""
     L = np.tril(rng.integers(0, p, (m, k)), -1)
@@ -235,10 +266,12 @@ def test_panel_pivots_match_echelon(p):
         assert np.array_equal(_mulmod_int64(inv, block, p), np.eye(len(pivots)))
 
 
-def test_an_attempt_holds_one_copy_of_its_matrix():
+def test_an_attempt_holds_one_copy_and_one_chunk():
     # the widest main-theorem system, P^3 x P^3 in degree (4, 4): dimensions()
-    # eliminates the built matrix in place, so its peak stays well below two
-    # copies of the r_high matrix (the second run, after imports and caches)
+    # builds the matrix in place and eliminates it in place, adding each
+    # chunk's float64 product straight into it, so its peak stays near one
+    # copy of the r_high matrix plus one chunk (the second run, after
+    # imports and caches)
     sp, dg = MultiProjectiveSpace((3, 3)), Multidegree((4, 4))
     is_defective(sp, dg)
     tracemalloc.start()
@@ -249,7 +282,23 @@ def test_an_attempt_holds_one_copy_of_its_matrix():
         tracemalloc.stop()
     assert report.certified_nondefective
     cert = report.high
-    assert peak < 1.75 * cert.rows * cert.cols * 8, peak / (cert.rows * cert.cols * 8)
+    assert peak < 1.3 * cert.rows * cert.cols * 8, peak / (cert.rows * cert.cols * 8)
+
+
+def test_a_build_holds_its_matrix_and_small_tables():
+    # build_matrix makes each batch's last Kronecker product in its rows of
+    # the matrix, so only the per-factor tables of one batch come on top
+    sp, dg = MultiProjectiveSpace((3, 3)), Multidegree((4, 4))
+    scheme = make_scheme([(2, 176)])
+    build_matrix(sp, dg, scheme)
+    tracemalloc.start()
+    try:
+        mat = build_matrix(sp, dg, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.array.shape == (176 * 7, 1225)
+    assert peak < 1.1 * mat.array.nbytes, peak / mat.array.nbytes
 
 
 def test_prefix_ranks_match_exact_oracle():
@@ -627,6 +676,21 @@ def test_draws_refuse_bad_pinned_points():
     zero = FatPointScheme([FatPoint(1, PointSpec(None, ((101, 202, 303),)))])
     with pytest.raises(ValueError, match="zero coordinate vector mod p"):
         draw_scheme_points(sp, zero, 101, 0)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    # the memoised function's own body, so the sweep leaves no cache behind
+    assert all(_is_prime.__wrapped__(n) == trial(n) for n in range(2**16))
+    # 31-bit primes, products of two primes near 2^15.5, Carmichael numbers,
+    # and strong pseudoprimes to bases 2, to 2 and 3, and to 2, 3 and 5
+    primes = [DEFAULT_PRIME, ALTERNATE_PRIME, 2147483587, 1000000007, 998244353]
+    composites = [46337 * 46327, 2**31 - 3, 3 * 715827883, 561, 41041, 825265,
+                  321197185, 2047, 1373653, 25326001]
+    for n in primes + composites:
+        assert _is_prime(n) == _is_prime.__wrapped__(n) == trial(n) == (n in primes), n
 
 
 def test_computed_dim_at_least_vdim():
