@@ -38,10 +38,11 @@ pivots, row swaps and the inverse of its pivot block; the rows below are
 updated by one float64 (BLAS) product per chunk of 128 rows, on 16-bit
 limbs, so with at most 32 inner terms every entry is an integer below 2^53
 and exact, and it is added into the int64 rows with an exact cast, without
-an int64 copy.  Updated entries are reduced mod p only when a panel reads
-them, and in full every eight panels, which keeps them below 2^56.  The
-last columns, and narrower matrices, use the loop alone, clearing only the
-rows below each pivot.
+an int64 copy.  Updated entries are reduced mod p only where they are read
+(a panel, the pivot rows, the last columns); an entry takes at most one
+update per panel, so int64 holds them up to about 1365 panels.  The last
+columns, and narrower matrices, use the loop alone, clearing only the rows
+below each pivot.
 
 Points are drawn in order from one seeded stream, so the rows of the first
 k points of a scheme are a row prefix of its matrix.  The row rank profile
@@ -404,15 +405,13 @@ def build_matrix(
 
 
 # Panel width, the row chunk of trailing updates and of build_matrix's
-# row assembly, the width up to which _echelon alone is used
-# (there the panel copies cost more than the matrix products save), and the
-# panels between full reductions of the trailing block.  _PANEL bounds the
+# row assembly, and the width up to which _echelon alone is used (there the
+# panel copies cost more than the matrix products save).  _PANEL bounds the
 # inner dimension of every product in rank_fp, which keeps it exact in
 # float64 (see _limb_product).
 _PANEL = 32
 _CHUNK = 128
 _NARROW = 4 * _PANEL
-_DELAY = 8
 
 
 def rank_fp(matrix: np.ndarray, p: int) -> int:
@@ -438,12 +437,11 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
     rows to [I | U12]; the rows below, whose entries in the pivot columns
     are X, get A22 += X (-U12), one float64 matrix product on 16-bit limbs
     per chunk of _CHUNK rows (_limb_product), added into A22 in int64.
-    A22 is reduced mod p only where it is read next, and in full every
-    _DELAY panels.  The last _NARROW columns, and narrow matrices, go to
-    _echelon alone.
+    A22 is reduced mod p only where it is read next.  The last _NARROW
+    columns, and narrow matrices, go to _echelon alone.
     """
-    if not 2 <= p < 2**31:
-        raise ValueError(f"rank_profile needs 2 <= p < 2^31, got {p}")
+    if not (2 <= p < 2**31 and _is_prime(p)):
+        raise ValueError(f"rank_profile needs a prime 2 <= p < 2^31, got {p}")
     A = np.array(matrix, dtype=np.int64, order="C")
     return _rank_profile(np.mod(A, p, out=A), p)
 
@@ -454,19 +452,20 @@ def _rank_profile(A: np.ndarray, p: int) -> list[int]:
     overwritten.
 
     Each chunk's float64 product is added straight into its int64 rows: its
-    entries are integers below 2^53 (_limb_product), so the cast is exact,
-    and only the product, one chunk, is held beside A.  An entry takes at
-    most _DELAY such updates, each below 3 * 2^51, between the reductions,
-    so it stays below 2^56, exact in int64."""
+    entries are integers below 3 * 2^51 (_limb_product), so the cast is
+    exact, and only the product, one chunk, is held beside A.  An entry is
+    reduced mod p only where it is read: as a panel column, in a pivot row
+    or in the last columns.  Until then it takes at most one update per
+    panel with a pivot, min(m, n // _PANEL) of them, so it stays below
+    p + min(m, n // _PANEL) * 3 * 2^51; a shape for which that could reach
+    2^63 (more than 1365 rows and panels) is refused before any update."""
     m, n = A.shape
+    if min(m, n // _PANEL) * 3 * 2**51 >= 2**63 - p:
+        raise ValueError(f"a {m} x {n} matrix could overflow int64 in rank_profile")
     profile: list[int] = []
     r = c = 0
     while r < m and n - c > _NARROW:
         c1 = c + _PANEL
-        # trailing updates are added unreduced, each below 2^53: reducing
-        # every _DELAY panels keeps the entries below 2^56
-        if c // _PANEL % _DELAY == _DELAY - 1:
-            A[r:, c1:] %= p
         A[r:, c:c1] %= p
         pivots, swaps, inv = _panel(A[r:, c:c1], p)
         for i, j in swaps:
@@ -474,7 +473,10 @@ def _rank_profile(A: np.ndarray, p: int) -> list[int]:
         J = [c + j for j in pivots]
         k = len(J)
         if k:
-            U = _limbs(_mulmod(-inv % p, _limbs(A[r : r + k, c1:] % p), p) % p)
+            # the limbs of U12 = -inv A12 mod p; no float64 copy outlives them
+            U = _limbs(
+                _limb_product(-inv % p, _limbs(A[r : r + k, c1:] % p), p).astype(np.int64) % p
+            )
             for s in range(r + k, m, _CHUNK):
                 # the add casts the product to int64 as it goes, exactly
                 block, X = A[s : s + _CHUNK, c1:], A[s : s + _CHUNK, J]
@@ -555,17 +557,10 @@ def _limb_product(X: np.ndarray, L: np.ndarray, p: int) -> np.ndarray:
 
     With p < 2^31 and at most _PANEL = 2^5 columns in X, every entry is an
     integer below 2^5 * (2^31 * 2^15 + 2^31 * 2^16) = 3 * 2^51 < 2^53, so
-    float64 computes it exactly, and its cast to int64 is exact too."""
+    float64 computes it exactly, and its cast to int64 is exact too.
+    _rank_profile makes U12 with it and adds it into A22 unreduced."""
     S = np.concatenate([X * 65536 % p, X], axis=1).astype(np.float64)
     return S @ L
-
-
-def _mulmod(X: np.ndarray, L: np.ndarray, p: int) -> np.ndarray:
-    """An int64 matrix congruent to X @ U mod p: _limb_product(X, L, p),
-    whose entries are integers below 2^53, cast exactly.  _rank_profile
-    makes U12 with it; its trailing updates add _limb_product into A22
-    themselves, without this int64 copy."""
-    return _limb_product(X, L, p).astype(np.int64)
 
 
 def dimension(

@@ -90,9 +90,16 @@ def critical_r(space: MultiProjectiveSpace, degree: Multidegree) -> tuple[int, i
     """(r_low, r_high): the largest r with nonnegative virtual dimension of
     the 2-fat point system, and the smallest r with negative one.  Proving
     regularity at r_low and emptiness at r_high certifies non-defectivity
-    for all r at once."""
+    for all r at once.  A system of fewer than N + 1 monomials has no such
+    r, as one double point already imposes more conditions than it has
+    monomials, and is refused."""
     L = basis_size(space, degree)
     N1 = space.ambient_dim() + 1
+    if L < N1:
+        raise ValueError(
+            f"fewer monomials ({L}) than N + 1 = {N1}: "
+            "no number of double points is critical"
+        )
     r_low = L // N1
     return r_low, r_low + 1
 
@@ -147,15 +154,7 @@ def is_defective(
     config: PrimeFieldConfig | None = None,
 ) -> DefectivityReport:
     """Certify non-defectivity at the critical numbers of double points
-    (critical_r).  A system of fewer than N + 1 monomials has none, as one
-    double point already imposes more conditions than it has monomials,
-    and is refused."""
-    L, N1 = basis_size(space, degree), space.ambient_dim() + 1
-    if L < N1:
-        raise ValueError(
-            f"fewer monomials ({L}) than N + 1 = {N1}: "
-            "no number of double points is critical"
-        )
+    (critical_r, which refuses a system that has none)."""
     r_low, r_high = critical_r(space, degree)
     low, high = secant_dims(space, degree, [r_low, r_high], config)
     return DefectivityReport(

@@ -60,6 +60,8 @@ def test_usage_errors_exit64(capsys):
                                ("1", "0", "fewer monomials (1) than N + 1 = 2")):
         code, _, err = run_cli(capsys, "defective", "--space", space, "--deg", deg)
         assert code == 64 and counts in err, err
+    code, _, err = run_cli(capsys, "hypotheses", "--space", "1", "--deg", "0")
+    assert code == 64 and "fewer monomials (1) than N + 1 = 2" in err, err
 
 
 def test_defective_exit_codes(capsys):

@@ -16,7 +16,6 @@ from fatpoints.engine import (
     Certificate,
     DimensionVerdict,
     PrimeFieldConfig,
-    _DELAY,
     _NARROW,
     _PANEL,
     _echelon,
@@ -63,7 +62,7 @@ def test_rank_fp_small():
     assert rank_fp(np.zeros((3, 0), dtype=np.int64), p) == 0
 
 
-@pytest.mark.parametrize("p", [0, 1, -7, 2**31, 2**31 + 11])
+@pytest.mark.parametrize("p", [0, 1, -7, 4, 561, 2**31 - 3, 2**31, 2**31 + 11])
 def test_rank_fp_rejects_primes_out_of_range(p):
     with pytest.raises(ValueError, match="2 <= p < 2\\^31"):
         rank_fp(np.eye(3, dtype=np.int64), p)
@@ -139,18 +138,16 @@ def test_rank_fp_exact_at_the_limb_bound(p):
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, ALTERNATE_PRIME])
 def test_rank_fp_exact_over_delayed_reductions(p):
-    # 2 _DELAY - 1 panels of pivots: R_t, the pivot rows of panel t, are
-    # [0 | I | 2] with I on panel t, so every panel solves to U = p - 2 (both
-    # limbs near 2^16).  The rows below are (p - 2) times the sum of all R_t,
-    # so each panel sees them as p - 2 in its columns (X * 2^16 mod p near
-    # p too): every update adds about 0.75 * 2^53 to each of their trailing
-    # entries.  The last columns take the updates of panels _DELAY - 1 to
-    # 2 _DELAY - 2, _DELAY of them, after the reduction at panel _DELAY - 1,
-    # and must still cancel exactly to rank (2 _DELAY - 1) _PANEL; a rounded
-    # product (float32, say) leaves the rank above it.  Eliminated in place,
-    # the entries stay below 2^56, the bound the reductions keep: all
-    # 2 _DELAY - 1 updates of one entry add up to about 2^56.5.
-    panels = 2 * _DELAY - 1
+    # 15 panels of pivots: R_t, the pivot rows of panel t, are [0 | I | 2]
+    # with I on panel t, so every panel solves to U = p - 2 (both limbs near
+    # 2^16).  The rows below are (p - 2) times the sum of all R_t, so each
+    # panel sees them as p - 2 in its columns (X * 2^16 mod p near p too):
+    # every update adds about 0.75 * 2^53 to each of their trailing entries.
+    # The last columns take all 15 updates, unreduced, and must still cancel
+    # exactly to rank 15 _PANEL; a rounded product (float32, say) leaves the
+    # rank above it.  Eliminated in place, those entries add up to about
+    # 2^56.5, and each update stays below the limb bound 3 * 2^51.
+    panels = 15
     n = _NARROW + panels * _PANEL  # the loop stops after the last panel
     R = np.zeros((panels * _PANEL, n), dtype=np.int64)
     for t in range(panels):
@@ -162,7 +159,15 @@ def test_rank_fp_exact_over_delayed_reductions(p):
     assert rank_fp(M, p) == panels * _PANEL
     A = M.copy()
     assert len(_rank_profile(A, p)) == panels * _PANEL
-    assert 0 <= A.min() and A.max() < 2**56, A.max() / 2**56
+    assert 0 <= A.min() and 2**56 < A.max() < p + panels * 3 * 2**51, A.max() / 2**56
+
+
+def test_rank_profile_refuses_shapes_that_could_overflow():
+    # 1366 rows and 1366 panels: 1366 updates below 3 * 2^51 could pass
+    # 2^63.  A read-only view of one zero: refused before anything is read
+    A = np.broadcast_to(np.int64(0), (1366, 1366 * _PANEL))
+    with pytest.raises(ValueError, match=f"1366 x {1366 * _PANEL} matrix"):
+        _rank_profile(A, DEFAULT_PRIME)
 
 
 def _unit_lower(rng, m, k, p):
