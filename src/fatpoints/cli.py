@@ -23,15 +23,16 @@ from . import __version__, arith
 from .degeneration import (
     DivisorSpec,
     castelnuovo_bound_check,
+    specialize_onto,
     star_configuration,
     star_nonspeciality_check,
     star_span_check,
 )
 from .engine import DimensionVerdict, PrimeFieldConfig, check_columns, dimension
 from .replication import run_basecases
-from .schemes import conditions_of_fat_point, make_scheme, parse_scheme_type
+from .schemes import FatPointScheme, conditions_of_fat_point, make_scheme, parse_scheme_type
 from .secant import is_defective, secant_dim, theorem_hypotheses
-from .spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
+from .spaces import Multidegree, MultiProjectiveSpace
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -73,14 +74,14 @@ def _parse_divisor(text: str) -> DivisorSpec:
 def _system_from_flags(args):
     """The space, degree and scheme of --space, --deg and a --scheme type,
     where each --on-divisor FACTOR:INDEX:COUNT confines the next COUNT points
-    (in scheme order) to the coordinate divisor {x_index = 0}.  The column
-    and row limits are checked before any point is listed."""
+    (in scheme order) to the coordinate divisor {x_index = 0}: specialize_onto
+    on the points not yet placed.  The column and row limits are checked
+    before any point is listed."""
     space, degree = _parse_space(args.space), _parse_deg(args.deg)
     profile = parse_scheme_type(args.scheme)
     rows = sum(k * conditions_of_fat_point(a, space.ambient_dim()) for a, k in profile)
     check_columns(space, degree, rows=rows)
-    npoints = sum(count for _, count in profile)
-    strata: list[CoordinateSubvariety | None] = []
+    scheme, placed = make_scheme(profile), 0
     for spec in args.on_divisor or []:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -88,12 +89,11 @@ def _system_from_flags(args):
         factor, index, count = (int(t) for t in parts)
         if count < 1:
             raise ValueError(f"bad --on-divisor {spec!r}, COUNT must be >= 1")
-        # checked before the list grows, so that a huge COUNT is refused
-        if len(strata) + count > npoints:
-            raise ValueError("more strata than points")
-        sub = DivisorSpec(factor, index).as_subvariety(space)
-        strata.extend([sub] * count)
-    return space, degree, make_scheme(profile, strata or None)
+        rest = FatPointScheme(scheme.points[placed:])
+        rest = specialize_onto(space, rest, DivisorSpec(factor, index), count)
+        scheme.points[placed:] = rest.points
+        placed += count
+    return space, degree, scheme
 
 
 def _config(args) -> PrimeFieldConfig:

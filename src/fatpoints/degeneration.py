@@ -46,12 +46,6 @@ class DivisorSpec:
         if not 0 <= self.index <= space.factor_dims[self.factor]:
             raise ValueError("divisor coordinate out of range")
 
-    def as_subvariety(self, space: MultiProjectiveSpace) -> CoordinateSubvariety:
-        self.check(space)
-        van = [frozenset()] * space.num_factors
-        van[self.factor] = frozenset({self.index})
-        return CoordinateSubvariety(tuple(van))
-
 
 def point_on_divisor(pt: FatPoint, divisor: DivisorSpec) -> bool:
     if pt.spec.coords is not None:
@@ -81,10 +75,13 @@ def specialize_onto(
     divisor: DivisorSpec,
     count: int,
 ) -> FatPointScheme:
-    """Move the first `count` points of the scheme onto the divisor."""
+    """Move the first `count` points of the scheme onto the divisor; a
+    count of 0 moves none."""
     divisor.check(space)
-    if count > len(scheme.points):
-        raise ValueError("not enough points to specialize")
+    if not 0 <= count <= len(scheme.points):
+        raise ValueError(
+            f"cannot move {count} of {len(scheme.points)} points onto the divisor"
+        )
     points = []
     for i, pt in enumerate(scheme.points):
         if i < count:

@@ -10,7 +10,9 @@ turn is at least max(0, virtual dimension).  Hence:
 * computed > expected   is only evidence of speciality (SpecialCandidate),
   reported after RETRIES attempts with fresh points and one at an
   alternate prime (ALTERNATE_PRIME, or DEFAULT_PRIME when the configured
-  prime is ALTERNATE_PRIME).
+  prime is ALTERNATE_PRIME).  A scheme that draws nothing from the seed
+  (every point pinned, every jet with a direction) has one matrix per
+  prime, so it gets one attempt at each of the two primes.
 
 Rows of the matrix are partial derivatives d^beta of order < a per fat point
 (in the affine chart where the first nonvanishing coordinate of each factor
@@ -598,8 +600,8 @@ def dimensions(
 
     A scheme whose points are all pinned and whose jets all have a
     direction draws nothing from the seed: its matrix depends on the prime
-    alone.  Its attempts at a prime already eliminated reuse that profile,
-    built for a prefix at least as long, and still add their own run."""
+    alone, so its attempts are (prime, seed) and (alternate, seed), one per
+    distinct matrix."""
     config = config or PrimeFieldConfig()
     npts = len(scheme.points)
     subs = []
@@ -618,30 +620,27 @@ def dimensions(
     vdims = [cols - nrows for nrows in rows]
     exps = [max(0, vdim) for vdim in vdims]
 
+    seedless = all(pt.spec.coords is not None for pt in scheme.points) and all(
+        jet.direction is not None for jet in scheme.jets
+    )
     attempts = [(config.prime, config.seed)]
-    attempts += [(config.prime, config.child_seed(i)) for i in range(1, RETRIES + 1)]
+    if not seedless:  # fresh seeds draw fresh points
+        attempts += [(config.prime, config.child_seed(i)) for i in range(1, RETRIES + 1)]
     # the last attempt changes the prime as well as the points
     alternate = DEFAULT_PRIME if config.prime == ALTERNATE_PRIME else ALTERNATE_PRIME
     attempts.append((alternate, config.seed))
 
-    seedless = all(pt.spec.coords is not None for pt in scheme.points) and all(
-        jet.direction is not None for jet in scheme.jets
-    )
     runs: list[list[tuple[int, int, int]]] = [[] for _ in subs]
-    profile, profile_prime = None, None
     for p, sd in attempts:
         # a prefix stops at its first attempt that gives the expected dim
         todo = [i for i, rs in enumerate(runs) if not rs or rs[-1][2] != exps[i]]
         if not todo:
             break
-        # the open prefixes only shrink, so an earlier attempt's matrix has
-        # every open prefix's rows as a row prefix
-        if not (seedless and p == profile_prime):
-            # each open prefix's matrix is a row prefix of the longest one's
-            longest = max(todo, key=lambda i: rows[i])
-            mat = build_matrix(space, degree, subs[longest], prime=p, seed=sd)
-            profile, profile_prime = _rank_profile(mat.array.T, p), p
-            del mat  # not alive while the next attempt builds its matrix
+        # each open prefix's matrix is a row prefix of the longest one's
+        longest = max(todo, key=lambda i: rows[i])
+        mat = build_matrix(space, degree, subs[longest], prime=p, seed=sd)
+        profile = _rank_profile(mat.array.T, p)
+        del mat  # not alive while the next attempt builds its matrix
         for i in todo:
             runs[i].append((p, sd, cols - bisect_left(profile, rows[i])))
 

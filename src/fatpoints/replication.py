@@ -512,7 +512,11 @@ def verify_main_theorem(
     statuses are both systems' statuses.  Systems are keyed by their sorted
     (factor dimension, degree) pairs; is_defective answers the first system
     of each key, and every entry keeps its own space and degree.  The
-    questions are answered on every allowed CPU (_answer_all)."""
+    questions are answered on every allowed CPU (_answer_all).  An empty
+    grid (max_m or max_n below 1) is refused with ValueError."""
+    if max_m < 1 or max_n < 1:
+        # an empty grid would pass without checking a system
+        raise ValueError(f"need max_m, max_n >= 1, got {max_m}, {max_n}")
     systems = [
         (MultiProjectiveSpace((m, n)), Multidegree((c, d)))
         for c, d in ((3, 3), (3, 4), (4, 4))
@@ -592,7 +596,10 @@ def verify_ah(
     four sporadic higher-degree cases have defect >= 1, and everything
     else up to (max_n, max_d) is certified non-defective at the two
     critical numbers of points.  The embeddings are checked on every
-    allowed CPU (_answer_all)."""
+    allowed CPU (_answer_all).  max_n below 1 or max_d below 2, which
+    leave only the quadrics on P^5, are refused with ValueError."""
+    if max_n < 1 or max_d < 2:
+        raise ValueError(f"need max_n >= 1 and max_d >= 2, got {max_n}, {max_d}")
     pairs = [(n, d) for n in range(1, max_n + 1) for d in range(2, max_d + 1)]
     pairs.append((5, 2))
     entries = _answer_all(

@@ -164,29 +164,14 @@ def parse_scheme_type(text: str) -> list[tuple[int, int]]:
     return out
 
 
-def make_scheme(
-    profile: str | list[tuple[int, int]],
-    strata: list[CoordinateSubvariety | None] | None = None,
-) -> FatPointScheme:
-    """Build a scheme of general points from a multiplicity profile.
-
-    `strata`, if given, assigns a stratum (or None) to each point in order;
-    it may be shorter than the point list, remaining points are general.
-    """
+def make_scheme(profile: str | list[tuple[int, int]]) -> FatPointScheme:
+    """Build a scheme of general points from a multiplicity profile, in the
+    written order.  degeneration.specialize_onto puts points on a divisor."""
     if isinstance(profile, str):
         profile = parse_scheme_type(profile)
     points: list[FatPoint] = []
     for mult, count in profile:
         points.extend(FatPoint(mult) for _ in range(count))
-    if strata:
-        if len(strata) > len(points):
-            raise ValueError("more strata than points")
-        points = [
-            FatPoint(pt.multiplicity, PointSpec(stratum=strata[i]))
-            if i < len(strata) and strata[i] is not None
-            else pt
-            for i, pt in enumerate(points)
-        ]
     return FatPointScheme(points)
 
 

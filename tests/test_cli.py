@@ -455,6 +455,33 @@ def test_castelnuovo_cli(capsys):
     assert code == 0 and "holds" in out
 
 
+def test_on_divisor_flags_place_the_next_points_in_turn(monkeypatch, capsys):
+    # each --on-divisor confines the points that no earlier flag placed:
+    # on P^2 x P^1, points 0-1 go to {x_0 = 0} and points 2-3 to {y_0 = 0}
+    asked = []
+
+    def recording(space, degree, scheme, config=None):
+        asked.append(scheme)
+        return dimension(space, degree, scheme, config)
+
+    monkeypatch.setattr(cli, "dimension", recording)
+    flags = ("--on-divisor", "0:0:2", "--on-divisor", "1:0:2")
+    code, _, err = run_cli(
+        capsys, "dim", "--space", "2x1", "--deg", "3,3", "--scheme", "2^4", *flags
+    )
+    assert code == 0, err
+    [scheme] = asked
+    on_x0, on_y0 = (frozenset({0}), frozenset()), (frozenset(), frozenset({0}))
+    assert [pt.spec.stratum.vanishing for pt in scheme.points] == [on_x0] * 2 + [on_y0] * 2
+    assert all(pt.spec.coords is None for pt in scheme.points)
+    # four confined points, three in the scheme
+    code, out, err = run_cli(
+        capsys, "dim", "--space", "1x1", "--deg", "3,3", "--scheme", "2^3", *flags
+    )
+    assert code == 64 and out == "" and err.startswith("fatpoints: ")
+    assert len(asked) == 1
+
+
 @pytest.mark.parametrize(
     "spec", ["0:0:5", f"0:0:{10**15}", "0:0:0", "0:0:-3", "5:0:1", "-1:0:1"]
 )

@@ -40,6 +40,16 @@ def test_specialize_and_membership():
     assert not point_on_divisor(spec.points[2], div)
 
 
+def test_specialize_onto_refuses_a_negative_count():
+    # 0 moves no point; a negative count is an error, not a no-op
+    sp = MultiProjectiveSpace((2, 2))
+    scheme, div = make_scheme("3,2^2"), DivisorSpec(0, 0)
+    assert specialize_onto(sp, scheme, div, 0).points == scheme.points
+    for count in (-2, 4):
+        with pytest.raises(ValueError):
+            specialize_onto(sp, scheme, div, count)
+
+
 def test_residue_and_trace_shapes():
     sp = MultiProjectiveSpace((2, 2))
     dg = Multidegree((3, 3))

@@ -168,6 +168,20 @@ def test_main_theorem_certifies_each_system_once_up_to_factor_order(
     assert report["passed"]
 
 
+@pytest.mark.parametrize("max_m, max_n", [(0, 3), (3, 0), (-1, -1)])
+def test_verify_main_theorem_refuses_an_empty_grid(max_m, max_n):
+    # no system to check: a pass would check nothing
+    with pytest.raises(ValueError):
+        verify_main_theorem(max_m, max_n)
+
+
+@pytest.mark.parametrize("max_n, max_d", [(0, 5), (4, 1), (0, 0)])
+def test_verify_ah_refuses_an_empty_range(max_n, max_d):
+    # the range would hold no (n, d), and the report only the quadrics on P^5
+    with pytest.raises(ValueError):
+        verify_ah(max_n=max_n, max_d=max_d)
+
+
 def test_verify_ah_examples():
     report = verify_ah(max_n=2, max_d=4)
     assert report["passed"]

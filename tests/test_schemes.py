@@ -59,16 +59,6 @@ def test_virtual_dim_with_contained():
     assert free - tied == 2 * 3  # monomials missing y0
 
 
-def test_strata_assignment():
-    sub = CoordinateSubvariety((frozenset(), frozenset({0})))
-    scheme = make_scheme("2^3", strata=[sub, None])
-    assert scheme.points[0].spec.stratum == sub
-    assert scheme.points[1].spec.stratum is None
-    assert scheme.points[2].spec.stratum is None
-    with pytest.raises(ValueError):
-        make_scheme("2", strata=[sub, sub])
-
-
 def test_jet_validation():
     sp = MultiProjectiveSpace((1, 1))
     scheme = FatPointScheme([FatPoint(3)], jets=[JetCondition(0, 4)])
