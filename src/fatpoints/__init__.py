@@ -2,7 +2,7 @@
 projective spaces, and (non-)defectivity of their secant varieties."""
 
 # set before the submodules load, so any of them can import it
-__version__ = "0.1.1"
+__version__ = "0.1.2"
 
 from .arith import lemma_ids, verify_all, verify_lemma
 from .degeneration import (

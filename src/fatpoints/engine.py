@@ -8,11 +8,13 @@ turn is at least max(0, virtual dimension).  Hence:
 
 * computed == expected  certifies the system (status Regular or Zero);
 * computed > expected   is only evidence of speciality (SpecialCandidate),
-  reported after RETRIES attempts with fresh points and one at an
+  reported after two attempts: the configured (prime, seed), then the
   alternate prime (ALTERNATE_PRIME, or DEFAULT_PRIME when the configured
-  prime is ALTERNATE_PRIME).  A scheme that draws nothing from the seed
-  (every point pinned, every jet with a direction) has one matrix per
-  prime, so it gets one attempt at each of the two primes.
+  prime is ALTERNATE_PRIME) with a fresh seed, so the second attempt
+  changes both the field and the drawn points.  A draw special by chance
+  lowers the rank with probability at most about (rows x degree) / p, so
+  a regular system is reported special only when two independent draws
+  are both bad.
 
 Rows of the matrix are partial derivatives d^beta of order < a per fat point
 (in the affine chart where the first nonvanishing coordinate of each factor
@@ -75,7 +77,6 @@ from .spaces import compositions, ideal_basis, ideal_basis_size
 
 DEFAULT_PRIME = 2147483647
 ALTERNATE_PRIME = 2147483629
-RETRIES = 2  # fresh seeds at the configured prime before the alternate one
 MAX_COLUMNS = 4096
 
 
@@ -102,17 +103,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_prime(p: int) -> None:
+    """A ValueError unless p is a prime 2 <= p < 2^31, the primes at which
+    the engine's int64 arithmetic is exact."""
+    if not (2 <= p < 2**31 and _is_prime(p)):
+        raise ValueError(f"the engine needs a prime 2 <= p < 2^31, got {p}")
+
+
 @dataclass(frozen=True)
 class PrimeFieldConfig:
     prime: int = DEFAULT_PRIME
     seed: int = 0
 
     def __post_init__(self):
-        if not (2 <= self.prime < 2**31 and _is_prime(self.prime)):
-            raise ValueError(f"prime must be a prime below 2^31, got {self.prime}")
-
-    def child_seed(self, attempt: int) -> int:
-        return (self.seed * 1000003 + attempt) % 2**63
+        _check_prime(self.prime)
 
 
 class DimensionVerdict(str, Enum):
@@ -283,6 +287,7 @@ def build_matrix(
     seed: int = 0,
 ) -> InterpolationMatrix:
     p = prime
+    _check_prime(p)
     scheme.check(space)
     maxdeg = max(degree.degrees, default=0)
     if p <= maxdeg:
@@ -442,8 +447,7 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
     A22 is reduced mod p only where it is read next.  The last _NARROW
     columns, and narrow matrices, go to _echelon alone.
     """
-    if not (2 <= p < 2**31 and _is_prime(p)):
-        raise ValueError(f"rank_profile needs a prime 2 <= p < 2^31, got {p}")
+    _check_prime(p)
     A = np.array(matrix, dtype=np.int64, order="C")
     return _rank_profile(np.mod(A, p, out=A), p)
 
@@ -572,8 +576,9 @@ def dimension(
     config: PrimeFieldConfig | None = None,
 ) -> Certificate:
     """Compute the dimension of the linear system and certify it when the
-    result matches the expected dimension; otherwise retry with fresh
-    seeds and the alternate prime before reporting a special candidate."""
+    result matches the expected dimension; otherwise try once more, at the
+    alternate prime with a fresh seed, before reporting a special
+    candidate."""
     return dimensions(space, degree, scheme, [len(scheme.points)], config)[0]
 
 
@@ -598,10 +603,13 @@ def dimensions(
     runs and stops at its own first certifying attempt.  Jet rows come last,
     so a scheme with jets has no proper prefixes.
 
-    A scheme whose points are all pinned and whose jets all have a
-    direction draws nothing from the seed: its matrix depends on the prime
-    alone, so its attempts are (prime, seed) and (alternate, seed), one per
-    distinct matrix."""
+    Every scheme gets the same two attempts: (prime, seed), then the
+    alternate prime at the fresh seed (seed * 1000003 + 1) mod 2^63.  The
+    second changes the points as well as the prime: random.Random(seed)
+    draws the same integers at both 31-bit primes, so only a fresh seed
+    draws fresh points.  A scheme that draws nothing from the seed (every
+    point pinned, every jet with a direction) still gets a distinct matrix
+    per attempt, from the prime."""
     config = config or PrimeFieldConfig()
     npts = len(scheme.points)
     subs = []
@@ -620,15 +628,8 @@ def dimensions(
     vdims = [cols - nrows for nrows in rows]
     exps = [max(0, vdim) for vdim in vdims]
 
-    seedless = all(pt.spec.coords is not None for pt in scheme.points) and all(
-        jet.direction is not None for jet in scheme.jets
-    )
-    attempts = [(config.prime, config.seed)]
-    if not seedless:  # fresh seeds draw fresh points
-        attempts += [(config.prime, config.child_seed(i)) for i in range(1, RETRIES + 1)]
-    # the last attempt changes the prime as well as the points
     alternate = DEFAULT_PRIME if config.prime == ALTERNATE_PRIME else ALTERNATE_PRIME
-    attempts.append((alternate, config.seed))
+    attempts = [(config.prime, config.seed), (alternate, (config.seed * 1000003 + 1) % 2**63)]
 
     runs: list[list[tuple[int, int, int]]] = [[] for _ in subs]
     for p, sd in attempts:

@@ -46,6 +46,13 @@ def test_dim_special_exit2(capsys):
     )
     assert code == 2
     assert "SpecialCandidate" in out and "dim 1" in out
+    # the reply lists its two attempts, at two primes
+    code, out, _ = run_cli(
+        capsys, "dim", "--space", "2", "--deg", "4", "--scheme", "2^5", "--json"
+    )
+    assert code == 2
+    runs = json.loads(out)["certificate"]["runs"]
+    assert len(runs) == 2 and runs[0][0] != runs[1][0]
 
 
 def test_usage_errors_exit64(capsys):
@@ -581,7 +588,8 @@ def test_bad_field_settings_exit64(capsys, flag, value):
 
 
 def test_retries_is_not_an_option(capsys):
-    # the attempt schedule is fixed (engine.RETRIES)
+    # the attempt schedule is fixed: (prime, seed), then the alternate prime
+    # at a fresh seed (engine.dimensions)
     code, out, err = run_cli(capsys, "dim", "--space", "1x1", "--deg", "3,3",
                              "--scheme", "2", "--retries", "2")
     assert code == 64 and out == ""

@@ -62,10 +62,20 @@ def test_rank_fp_small():
     assert rank_fp(np.zeros((3, 0), dtype=np.int64), p) == 0
 
 
-@pytest.mark.parametrize("p", [0, 1, -7, 4, 561, 2**31 - 3, 2**31, 2**31 + 11])
+@pytest.mark.parametrize(
+    "p", [0, 1, -7, 4, 9, 561, 2**31 - 3, 2**31, 2**31 + 11, 4294967311]
+)
 def test_rank_fp_rejects_primes_out_of_range(p):
-    with pytest.raises(ValueError, match="2 <= p < 2\\^31"):
-        rank_fp(np.eye(3, dtype=np.int64), p)
+    # one check for the kernel, the build and the config: above 2^31 the
+    # build's int64 products would wrap, and a composite has no inverses
+    sp, dg, scheme = MultiProjectiveSpace((2,)), Multidegree((4,)), make_scheme("2")
+    for call in (
+        lambda: rank_fp(np.eye(3, dtype=np.int64), p),
+        lambda: build_matrix(sp, dg, scheme, prime=p),
+        lambda: PrimeFieldConfig(prime=p),
+    ):
+        with pytest.raises(ValueError, match=f"2 <= p < 2\\^31, got {p}$"):
+            call()
 
 
 def _mulmod_int64(L, R, p):
@@ -372,9 +382,25 @@ def test_special_candidate_retries():
     cert = dimension(MultiProjectiveSpace((2,)), Multidegree((4,)), make_scheme("2^5"))
     assert cert.status == DimensionVerdict.SPECIAL_CANDIDATE
     assert cert.computed_dim == 1
-    # retried with fresh seeds and the alternate prime
-    assert len(cert.runs) == 4
+    # retried once, at the alternate prime
+    assert len(cert.runs) == 2
     assert {p for p, _, _ in cert.runs} == {DEFAULT_PRIME, ALTERNATE_PRIME}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_each_attempt_of_a_special_candidate_draws_afresh(seed):
+    # one run per attempt, and no two attempts share a prime or a seed: the
+    # second draws new points in a new field
+    cert = dimension(
+        MultiProjectiveSpace((2,)), Multidegree((4,)), make_scheme("2^5"),
+        PrimeFieldConfig(seed=seed),
+    )
+    assert cert.status == DimensionVerdict.SPECIAL_CANDIDATE
+    primes = [p for p, _, _ in cert.runs]
+    seeds = [sd for _, sd, _ in cert.runs]
+    assert len(cert.runs) == 2
+    assert seeds[0] == seed
+    assert len(set(primes)) == len(set(seeds)) == len(cert.runs)
 
 
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, ALTERNATE_PRIME])
@@ -385,18 +411,18 @@ def test_last_attempt_changes_the_prime(prime):
         PrimeFieldConfig(prime=prime),
     )
     assert cert.status == DimensionVerdict.SPECIAL_CANDIDATE
-    assert [p for p, _, _ in cert.runs] == [prime, prime, prime, other]
+    assert [p for p, _, _ in cert.runs] == [prime, other]
 
 
 def test_a_pinned_scheme_is_eliminated_once_per_prime(build_calls):
     # two pinned double points on plane conics: the double line through them
     # is singular at both, so every attempt reads dimension 1; the points
-    # draw nothing from the seed, so a fresh seed would give the same
-    # matrix: one attempt, one build, one run per prime
+    # draw nothing from the seed, and each attempt has its own prime: one
+    # attempt, one build, one run per prime
     pts = [FatPoint(2, PointSpec(None, (v,))) for v in ((1, 2, 3), (4, 5, 7))]
     cert = dimension(MultiProjectiveSpace((2,)), Multidegree((2,)), FatPointScheme(pts))
     assert cert.status == DimensionVerdict.SPECIAL_CANDIDATE
-    assert cert.runs == [(DEFAULT_PRIME, 0, 1), (ALTERNATE_PRIME, 0, 1)]
+    assert cert.runs == [(DEFAULT_PRIME, 0, 1), (ALTERNATE_PRIME, 1, 1)]
     assert build_calls == [2, 2]
 
 

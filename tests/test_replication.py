@@ -199,7 +199,7 @@ def test_verify_ah_builds_one_matrix_per_attempt(build_calls):
         rs = [*critical_r(space, degree), *veronese_defective_rs(case["n"], case["d"])]
         attempts += max(len(v.certificate.runs) for v in secant_dims(space, degree, rs))
     # the critical counts and every defective r share one draw per attempt
-    assert built == attempts == 16
+    assert built == attempts == 10
 
 
 # --- the drivers' questions on every allowed CPU ---------------------------
