@@ -35,18 +35,19 @@ dimensions() eliminates it.
 The elimination (rank_profile) returns the column rank profile over F_p,
 the pivot columns in order; rank_fp is its length.  It is exact for every
 prime p < 2^31.  One row-operation loop in int64 (_echelon, one slice
-update per pivot) makes every pivot.  Matrices of more than four panels of
-32 columns are eliminated blockwise: the loop runs Gauss-Jordan on a
-panel's leading rows, doubled until every column has a pivot, for its
-pivots, row swaps and the inverse of its pivot block; the rows below are
-updated by one float64 (BLAS) product per chunk of 128 rows, on 16-bit
-limbs, so with at most 32 inner terms every entry is an integer below 2^53
-and exact, and it is added into the int64 rows with an exact cast, without
-an int64 copy.  Updated entries are reduced mod p only where they are read
-(a panel, the pivot rows, the last columns); an entry takes at most one
-update per panel, so int64 holds them up to about 1365 panels.  The last
-columns, and narrower matrices, use the loop alone, clearing only the rows
-below each pivot.
+update per pivot) makes every pivot.  While more than two panels of 32
+columns and as many rows are left, a matrix is eliminated blockwise: the
+loop runs Gauss-Jordan on 32 rows spread over a panel (64, 128, ... while
+some column finds no pivot, then all its rows) for its pivots, rows that
+pivot them and the inverse of its pivot block; one gather and scatter
+moves those rows to the top, and the rows below are updated by one
+float64 (BLAS) product per chunk of 128 rows, on 16-bit limbs, so with at
+most 32 inner terms every entry is an integer below 2^53 and exact, and
+it is added into the int64 rows with an exact cast, without an int64
+copy.  Updated entries are reduced mod p only where they are read (a
+panel, the pivot rows, the rest); an entry takes at most one update per
+panel, so int64 holds them up to about 1365 panels.  The rest, and smaller
+matrices, use the loop alone, clearing only the rows below each pivot.
 
 Points are drawn in order from one seeded stream, so the rows of the first
 k points of a scheme are a row prefix of its matrix.  The row rank profile
@@ -412,13 +413,14 @@ def build_matrix(
 
 
 # Panel width, the row chunk of trailing updates and of build_matrix's
-# row assembly, and the width up to which _echelon alone is used (there the
-# panel copies cost more than the matrix products save).  _PANEL bounds the
-# inner dimension of every product in rank_fp, which keeps it exact in
-# float64 (see _limb_product).
+# row assembly, and the size up to which _echelon alone is used: a matrix
+# with at most _NARROW rows or columns left (there the panel copies cost
+# more than the matrix products save).  _PANEL bounds the inner dimension
+# of every product in rank_fp, which keeps it exact in float64 (see
+# _limb_product).
 _PANEL = 32
 _CHUNK = 128
-_NARROW = 4 * _PANEL
+_NARROW = 2 * _PANEL
 
 
 def rank_fp(matrix: np.ndarray, p: int) -> int:
@@ -438,14 +440,15 @@ def rank_profile(matrix: np.ndarray, p: int) -> list[int]:
     modified: the elimination (_rank_profile, in place) runs on a reduced
     C-contiguous copy.  dimensions() skips that copy and the reduction, as
     its matrices are built conditions-as-columns, in [0, p), and used once.
-    Matrices wider than _NARROW columns are eliminated in panels of _PANEL
-    columns.  _panel gives a panel's pivots, its row swaps, which are
-    applied to A, and the inverse of its pivot block, which solves the pivot
-    rows to [I | U12]; the rows below, whose entries in the pivot columns
-    are X, get A22 += X (-U12), one float64 matrix product on 16-bit limbs
-    per chunk of _CHUNK rows (_limb_product), added into A22 in int64.
-    A22 is reduced mod p only where it is read next.  The last _NARROW
-    columns, and narrow matrices, go to _echelon alone.
+    While more than _NARROW rows and columns are left, A is eliminated in
+    panels of _PANEL columns.  _panel gives a panel's pivots, rows that
+    pivot them, which one gather and scatter moves to the top of the rows
+    left, in pivot order, and the inverse of its pivot block, which solves
+    the pivot rows to [I | U12]; the rows below, whose entries in the pivot
+    columns are X, get A22 += X (-U12), one float64 matrix product on
+    16-bit limbs per chunk of _CHUNK rows (_limb_product), added into A22
+    in int64.  A22 is reduced mod p only where it is read next.  The rest,
+    once at most _NARROW rows or columns are left, goes to _echelon alone.
     """
     _check_prime(p)
     A = np.array(matrix, dtype=np.int64, order="C")
@@ -461,24 +464,28 @@ def _rank_profile(A: np.ndarray, p: int) -> list[int]:
     entries are integers below 3 * 2^51 (_limb_product), so the cast is
     exact, and only the product, one chunk, is held beside A.  An entry is
     reduced mod p only where it is read: as a panel column, in a pivot row
-    or in the last columns.  Until then it takes at most one update per
-    panel with a pivot, min(m, n // _PANEL) of them, so it stays below
-    p + min(m, n // _PANEL) * 3 * 2^51; a shape for which that could reach
-    2^63 (more than 1365 rows and panels) is refused before any update."""
+    or in the rest that _echelon takes.  Until then it takes at most one
+    update per panel with a pivot, min(m, n // _PANEL) of them, so it stays
+    below p + min(m, n // _PANEL) * 3 * 2^51; a shape for which that could
+    reach 2^63 (more than 1365 rows and panels) is refused before any
+    update."""
     m, n = A.shape
     if min(m, n // _PANEL) * 3 * 2**51 >= 2**63 - p:
         raise ValueError(f"a {m} x {n} matrix could overflow int64 in rank_profile")
     profile: list[int] = []
     r = c = 0
-    while r < m and n - c > _NARROW:
+    while m - r > _NARROW and n - c > _NARROW:
         c1 = c + _PANEL
         A[r:, c:c1] %= p
-        pivots, swaps, inv = _panel(A[r:, c:c1], p)
-        for i, j in swaps:
-            A[[r + i, r + j], c:] = A[[r + j, r + i], c:]
+        pivots, rows, inv = _panel(A[r:, c:c1], p)
         J = [c + j for j in pivots]
         k = len(J)
         if k:
+            # one gather and scatter moves the pivot rows to rows r..r+k-1,
+            # in pivot order, and the other rows there to the rows they left
+            src = rows + sorted(set(range(k)) - set(rows))
+            dst = list(range(k)) + [i for i in rows if i >= k]
+            A[[r + i for i in dst], c:] = A[[r + i for i in src], c:]
             # the limbs of U12 = -inv A12 mod p; no float64 copy outlives them
             U = _limbs(
                 _limb_product(-inv % p, _limbs(A[r : r + k, c1:] % p), p).astype(np.int64) % p
@@ -532,23 +539,31 @@ def _echelon(
     return pivots, swaps
 
 
-def _panel(P: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]], np.ndarray]:
-    """The pivots and row swaps of _echelon(P.copy(), p) and the inverse of
-    its pivot block (pivot rows, swaps applied, in pivot columns), from
-    _echelon on [P[:b] | 0] with n record columns (not b: at most n rows
-    are pivots).  b = _PANEL, 2 _PANEL, ..., up to the first b where every
-    column has a pivot or that covers P: exact, as a row of P[:b] is
-    reduced only by pivot rows in P[:b], so _echelon chooses as on P until
-    a column finds no pivot there, and a full set of pivots leaves none to
-    decide below."""
+def _panel(P: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
+    """The pivots of _echelon(P.copy(), p), the column rank profile of P;
+    rows of P that pivot them, in pivot order; and the inverse of P at those
+    rows in the pivot columns.  They come from _echelon on [S | 0] with n
+    record columns (not b: at most n rows are pivots), where
+    S = P[::max(1, m // b)][:b] is b candidate rows spread over P, for
+    b = _PANEL, 2 _PANEL, ..., up to the first b where every column has a
+    pivot or that covers P (then S = P).  Exact: rows of P that pivot every
+    column prove that every column is in P's profile, and on S = P _echelon
+    gives the profile, which no order of the rows changes.  Spread rows
+    pivot a fat-point matrix's panel where its leading rows, monomials in
+    factor-major order, often cannot."""
     m, n = P.shape
     b = _PANEL
     while True:
-        G = np.pad(P[:b], [(0, 0), (0, n)])
+        rows = list(range(0, m, max(1, m // b)))[:b]
+        G = np.pad(P[rows], [(0, 0), (0, n)])
         pivots, swaps = _echelon(G, p, n)
         if len(pivots) == n or b >= m:
-            return pivots, swaps, G[: len(pivots), n : n + len(pivots)]
+            break
         b *= 2
+    for i, j in swaps:
+        rows[i], rows[j] = rows[j], rows[i]
+    k = len(pivots)
+    return pivots, rows[:k], G[:k, n : n + k]
 
 
 def _limbs(U: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fatpoints import engine
 from fatpoints.degeneration import collision_scheme
 from fatpoints.engine import (
     ALTERNATE_PRIME,
@@ -105,10 +106,10 @@ def _rank_k_matrix(rng, m, n, k, p):
     return _mulmod_int64(L, R, p)
 
 
-_KERNEL_WIDTHS = [
+_KERNEL_WIDTHS = sorted({
     _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 1,
     _NARROW - 1, _NARROW, _NARROW + 1, _NARROW + _PANEL + 1, _NARROW + 2 * _PANEL + 1,
-]
+})
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, ALTERNATE_PRIME, 101, 2])
@@ -220,14 +221,13 @@ def _planted_profile_matrix(rng, m, n, k, p, low=0):
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, ALTERNATE_PRIME, 101, 2])
 def test_rank_profile_planted(p):
     rng = np.random.default_rng(p % 997)
-    cases = [
-        (m, n, k, 0)
-        for n in (31, 33, 127, 129, 161, 193)
-        for m in (n // 2, n + 9)
-        for k in sorted({min(m, n), min(m, n) // 3})
-    ]
+    # both sides of the blocked path's boundary, and at most _NARROW rows
+    # under more than _NARROW + _PANEL columns, which the loop takes alone
+    shapes = [(m, n) for n in _KERNEL_WIDTHS for m in (n // 2, n + 9)]
+    shapes += [(_NARROW, _NARROW + _PANEL + 1), (_NARROW - 1, 4 * _NARROW)]
+    cases = [(m, n, k, 0) for m, n in shapes for k in sorted({min(m, n), min(m, n) // 3})]
     # in the last case the first panel's pivots lie in its last 5 of 300
-    # rows, below every block of leading rows but the whole panel
+    # rows, outside every candidate row set but the whole panel
     cases += [(300, 600, 290, 0), (300, 193, 150, 5)]
     for m, n, k, low in cases:
         M, planted = _planted_profile_matrix(rng, m, n, k, p, low)
@@ -249,9 +249,9 @@ def test_rank_profile_planted(p):
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 101, 2])
 def test_panel_pivots_match_echelon(p):
-    # panels of 300 rows whose pivots are decided below row 32, 64 or 256,
-    # or in the last row alone, so every block of leading rows but the
-    # whole panel misses some; a zero panel; rank-deficient panels, dense
+    # panels of 300 rows that are zero above row 32, 64 or 256, or nonzero
+    # in the last row alone, so some or all candidate row sets but the whole
+    # panel miss their pivots; a zero panel; rank-deficient panels, dense
     # or with three zero columns
     rng = np.random.default_rng(p % 991)
     m = 300
@@ -270,15 +270,49 @@ def test_panel_pivots_match_echelon(p):
     panels.append(rng.integers(0, p, (m, _PANEL)))
     for P in panels:
         before = P.copy()
-        pivots, swaps, inv = _panel(P, p)
-        assert (pivots, swaps) == _echelon(P.copy(), p)
+        pivots, rows, inv = _panel(P, p)
+        # the profile is the row echelon loop's; any rows may pivot it
+        assert pivots == _echelon(P.copy(), p)[0]
         assert np.array_equal(P, before)
-        # inv inverts the pivot rows, swaps applied, in the pivot columns
-        order = list(range(m))
-        for i, j in swaps:
-            order[i], order[j] = order[j], order[i]
-        block = P[np.ix_(order[: len(pivots)], pivots)]
+        # distinct rows of P, one per pivot, which inv inverts in the pivot
+        # columns
+        assert len(set(rows)) == len(rows) == len(pivots)
+        assert all(0 <= i < m for i in rows)
+        block = P[np.ix_(rows, pivots)]
         assert np.array_equal(_mulmod_int64(inv, block, p), np.eye(len(pivots)))
+
+
+def test_fat_point_panels_run_one_gauss_jordan(monkeypatch):
+    # the quartic head of theorem_hypotheses on P^2 x P^2 in degree (4, 4),
+    # one 4-fat point and 40 double points, eliminated as dimensions() does,
+    # conditions as columns: 225 monomials by 235 conditions.  The leading
+    # monomials (factor-major order) cannot pivot the 4-fat point's
+    # derivative conditions, rows spread over a panel can: each panel runs
+    # its Gauss-Jordan once, and the profile is the unblocked loop's
+    p = DEFAULT_PRIME
+    sp, dg = MultiProjectiveSpace((2, 2)), Multidegree((4, 4))
+    A = build_matrix(sp, dg, make_scheme([(4, 1), (2, 40)]), prime=p).array.T
+    assert A.shape == (225, 235)
+    runs, inside = [], []
+
+    def panel(P, p):
+        inside.append(0)
+        try:
+            return _panel(P, p)
+        finally:
+            runs.append(inside.pop())
+
+    def echelon(G, p, n=None):
+        if inside:
+            inside[-1] += 1
+        return _echelon(G, p, n)
+
+    monkeypatch.setattr(engine, "_panel", panel)
+    monkeypatch.setattr(engine, "_echelon", echelon)
+    profile = _rank_profile(A.copy(), p)
+    monkeypatch.undo()
+    assert runs and runs == [1] * len(runs)
+    assert profile == _echelon(A.copy(), p)[0]
 
 
 def test_an_attempt_holds_one_copy_and_one_chunk():
