@@ -37,8 +37,8 @@ the pivot columns in order; rank_fp is its length.  It is exact for every
 prime p < 2^31.  One row-operation loop in int64 (_echelon, one slice
 update per pivot) makes every pivot.  While more than two panels of 32
 columns and as many rows are left, a matrix is eliminated blockwise: the
-loop runs Gauss-Jordan on 32 rows spread over a panel (64, 128, ... while
-some column finds no pivot, then all its rows) for its pivots, rows that
+loop runs Gauss-Jordan on 32 rows spread over a panel (then on all its
+rows, if some column finds no pivot among them) for its pivots, rows that
 pivot them and the inverse of its pivot block; one gather and scatter
 moves those rows to the top, and the rows below are updated by one
 float64 (BLAS) product per chunk of 128 rows, on 16-bit limbs, so with at
@@ -58,10 +58,24 @@ in place (_rank_profile), so an attempt holds one int64 copy of its matrix
 and one chunk.  secant.secant_dims asks it for every r of one draw of
 double points (is_defective, secant_dim and verify_ah go through it), and
 theorem_hypotheses asks it once per fat-point head.
+
+A process remembers the row rank profiles of the last _MEMO_SIZE (64)
+matrices dimensions() eliminated, oldest out first, keyed on exactly what
+build_matrix reads (_memo_key): the factor dimensions, the multidegree,
+the multiplicity, stratum and pinned coordinates of every point in order,
+with runs of equal points as one entry, the jets, the contained
+subvarieties, the prime and the seed.  build_matrix is a pure function of
+that key, so a matrix met again (the paper's replay asks for its quartic
+heads as base cases and as collision hypotheses) is answered with the
+profile a rebuild would give, and every certificate stays the same.  The
+column and row limits are checked before the lookup, so a refusal never
+depends on what is remembered.  A forked worker inherits the memo as it
+stood at the fork and keeps its own additions.
 """
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -543,23 +557,21 @@ def _panel(P: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
     """The pivots of _echelon(P.copy(), p), the column rank profile of P;
     rows of P that pivot them, in pivot order; and the inverse of P at those
     rows in the pivot columns.  They come from _echelon on [S | 0] with n
-    record columns (not b: at most n rows are pivots), where
-    S = P[::max(1, m // b)][:b] is b candidate rows spread over P, for
-    b = _PANEL, 2 _PANEL, ..., up to the first b where every column has a
-    pivot or that covers P (then S = P).  Exact: rows of P that pivot every
-    column prove that every column is in P's profile, and on S = P _echelon
-    gives the profile, which no order of the rows changes.  Spread rows
-    pivot a fat-point matrix's panel where its leading rows, monomials in
+    record columns (not b: at most n rows are pivots), where S is the
+    b = min(_PANEL, m) rows i m // b (i < b), spread over the whole of P,
+    or, when those leave a column without a pivot, S = P: at most two
+    Gauss-Jordans.  Exact: rows of P that pivot every column prove that
+    every column is in P's profile, and on S = P _echelon gives the
+    profile, which no order of the rows changes.  Spread rows pivot a
+    fat-point matrix's panel where its leading rows, monomials in
     factor-major order, often cannot."""
     m, n = P.shape
-    b = _PANEL
-    while True:
-        rows = list(range(0, m, max(1, m // b)))[:b]
+    b = min(_PANEL, m)
+    for rows in ((np.arange(b) * m // b).tolist(), list(range(m))):
         G = np.pad(P[rows], [(0, 0), (0, n)])
         pivots, swaps = _echelon(G, p, n)
-        if len(pivots) == n or b >= m:
+        if len(pivots) == n or len(rows) == m:
             break
-        b *= 2
     for i, j in swaps:
         rows[i], rows[j] = rows[j], rows[i]
     k = len(pivots)
@@ -618,6 +630,14 @@ def dimensions(
     runs and stops at its own first certifying attempt.  Jet rows come last,
     so a scheme with jets has no proper prefixes.
 
+    An attempt whose matrix this process has eliminated before, among the
+    last _MEMO_SIZE (64), builds nothing: it reads the remembered row rank
+    profile, keyed on exactly what build_matrix reads (_memo_key: factor
+    dimensions, multidegree, each point's multiplicity, stratum and pinned
+    coordinates in order, jets, contained subvarieties, prime and seed).
+    The column and row limits are checked first, memo or not.  A forked
+    worker starts with its parent's memo and keeps its own additions.
+
     Every scheme gets the same two attempts: (prime, seed), then the
     alternate prime at the fresh seed (seed * 1000003 + 1) mod 2^63.  The
     second changes the points as well as the prime: random.Random(seed)
@@ -637,9 +657,10 @@ def dimensions(
             scheme if k == npts
             else FatPointScheme(scheme.points[:k], contained=scheme.contained)
         )
-    # the subschemes share the columns; build_matrix checks the scheme
-    cols = ideal_basis_size(space, degree, scheme.contained)
+    # the subschemes share the columns; build_matrix checks the scheme.  The
+    # limits are checked here, before the memo is read
     rows = [sub.conditions(space.ambient_dim()) for sub in subs]
+    cols = check_columns(space, degree, scheme.contained, max(rows, default=0))
     vdims = [cols - nrows for nrows in rows]
     exps = [max(0, vdim) for vdim in vdims]
 
@@ -654,9 +675,7 @@ def dimensions(
             break
         # each open prefix's matrix is a row prefix of the longest one's
         longest = max(todo, key=lambda i: rows[i])
-        mat = build_matrix(space, degree, subs[longest], prime=p, seed=sd)
-        profile = _rank_profile(mat.array.T, p)
-        del mat  # not alive while the next attempt builds its matrix
+        profile = _row_profile(space, degree, subs[longest], p, sd)
         for i in todo:
             runs[i].append((p, sd, cols - bisect_left(profile, rows[i])))
 
@@ -674,6 +693,63 @@ def dimensions(
             Certificate(status, dim, vdim, exp, cols - dim, nrows, cols, p, sd, rs)
         )
     return certs
+
+
+# The row rank profiles dimensions() has eliminated, by _memo_key, oldest
+# first; at most _MEMO_SIZE of them, each at most 2 MAX_COLUMNS bytes
+_MEMO_SIZE = 64
+_profiles: dict[tuple, array] = {}
+
+
+def _memo_key(
+    space: MultiProjectiveSpace,
+    degree: Multidegree,
+    scheme: FatPointScheme,
+    prime: int,
+    seed: int,
+) -> tuple:
+    """Everything build_matrix(space, degree, scheme, prime, seed) reads, as
+    a hashable tuple: the points as runs of equal (multiplicity, stratum,
+    pinned coordinates) with their lengths, in order, so a scheme of a few
+    kinds of general point gives a key of a few entries."""
+    points = tuple(
+        (*spec, len(list(run)))
+        for spec, run in groupby(
+            (pt.multiplicity, pt.spec.stratum, pt.spec.coords) for pt in scheme.points
+        )
+    )
+    return (
+        space.factor_dims,
+        degree.degrees,
+        points,
+        tuple((jet.base_index, jet.order, jet.direction) for jet in scheme.jets),
+        tuple(sub.vanishing for sub in scheme.contained),
+        prime,
+        seed,
+    )
+
+
+def _row_profile(
+    space: MultiProjectiveSpace,
+    degree: Multidegree,
+    scheme: FatPointScheme,
+    p: int,
+    seed: int,
+) -> array:
+    """The row rank profile of build_matrix(space, degree, scheme, p, seed),
+    remembered, or built and eliminated in place (conditions as columns, as
+    build_matrix lays it out) and remembered; the matrix is gone on return.
+    The caller has checked the column and row limits."""
+    key = _memo_key(space, degree, scheme, p, seed)
+    profile = _profiles.get(key)
+    if profile is None:
+        pivots = _rank_profile(build_matrix(space, degree, scheme, prime=p, seed=seed).array.T, p)
+        # condition indices, below 2 MAX_COLUMNS: 16 bits unless the limit was raised
+        profile = array("H" if not pivots or pivots[-1] < 1 << 16 else "I", pivots)
+        _profiles[key] = profile
+        if len(_profiles) > _MEMO_SIZE:
+            del _profiles[next(iter(_profiles))]
+    return profile
 
 
 # --- exact-rational oracle ---------------------------------------------

@@ -46,7 +46,10 @@ def call_log(tmp_path):
 @pytest.fixture
 def build_calls(monkeypatch, call_log):
     """The number of points of each matrix the engine builds, in order
-    within each process, also when a driver forks workers."""
+    within each process, also when a driver forks workers.  The engine's
+    memo of eliminated matrices starts empty, so the counts are those of a
+    process that has eliminated nothing yet."""
+    engine._profiles.clear()
     real = engine.build_matrix
 
     def counting(space, degree, scheme, **kwargs):

@@ -308,14 +308,36 @@ def test_fat_point_panels_run_one_gauss_jordan(monkeypatch):
     assert profile == _echelon(A.copy(), p)[0]
 
 
+def test_a_panel_runs_at_most_two_gauss_jordans(monkeypatch):
+    # 300 rows, zero above row 256: 4 of the 32 rows spread over the whole
+    # panel (rows i 300 // 32) lie below row 256, so they miss pivots, and
+    # the second run, on all 300 rows, settles the panel
+    p = DEFAULT_PRIME
+    P = np.zeros((300, _PANEL), dtype=np.int64)
+    P[256:] = np.random.default_rng(256).integers(0, p, (44, _PANEL))
+    runs = []
+
+    def echelon(G, p, n=None):
+        runs.append(G.shape[0])
+        return _echelon(G, p, n)
+
+    monkeypatch.setattr(engine, "_echelon", echelon)
+    pivots, rows, inv = _panel(P, p)
+    monkeypatch.undo()
+    assert runs == [_PANEL, 300]
+    assert pivots == list(range(_PANEL)) and min(rows) >= 256
+
+
 def test_an_attempt_holds_one_copy_and_one_chunk():
     # the widest main-theorem system, P^3 x P^3 in degree (4, 4): dimensions()
     # builds the matrix in place and eliminates it in place, adding each
     # chunk's float64 product straight into it, so its peak stays near one
     # copy of the r_high matrix plus one chunk (the second run, after
-    # imports and caches)
+    # imports and caches, with the memo of eliminated matrices emptied so
+    # that the second run eliminates too)
     sp, dg = MultiProjectiveSpace((3, 3)), Multidegree((4, 4))
     is_defective(sp, dg)
+    engine._profiles.clear()
     tracemalloc.start()
     try:
         report = is_defective(sp, dg)

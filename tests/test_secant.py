@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from fatpoints import engine
 from fatpoints.arith import r_down, r_up
 from fatpoints.engine import (
     DimensionVerdict,
@@ -116,7 +117,11 @@ def test_is_defective_builds_one_matrix_per_attempt(build_calls):
         ]
         retried += attempts > 1
     assert retried
+    # P^2 quartics again: both attempts' matrices are remembered
     build_calls.clear()
+    is_defective(MultiProjectiveSpace((2,)), Multidegree((4,)))
+    assert build_calls == []
+    engine._profiles.clear()
     is_defective(MultiProjectiveSpace((2,)), Multidegree((4,)))
     assert build_calls == [6, 5]
 
