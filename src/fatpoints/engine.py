@@ -60,14 +60,14 @@ double points (is_defective, secant_dim and verify_ah go through it), and
 theorem_hypotheses asks it once per fat-point head.
 
 A process remembers the row rank profiles of the last _MEMO_SIZE (64)
-matrices dimensions() eliminated, oldest out first, keyed on exactly what
-build_matrix reads (_memo_key): the factor dimensions, the multidegree,
-the multiplicity, stratum and pinned coordinates of every point in order,
-with runs of equal points as one entry, the jets, the contained
-subvarieties, the prime and the seed.  build_matrix is a pure function of
-that key, so a matrix met again (the paper's replay asks for its quartic
-heads as base cases and as collision hypotheses) is answered with the
-profile a rebuild would give, and every certificate stays the same.  The
+matrices dimensions() eliminated, oldest out first, keyed on everything
+build_matrix reads: the space, the multidegree, the points in order (a run
+of equal points as one entry with its length), the jets and the contained
+subvarieties (frozen dataclasses, which hash and compare by every field),
+the prime and the seed.  build_matrix is a pure function of that key, so
+a matrix met again (the paper's replay asks for its quartic heads as base
+cases and as collision hypotheses) is answered with the profile a rebuild
+would give, and every certificate stays the same.  The
 column and row limits are checked before the lookup, so a refusal never
 depends on what is remembered.  A forked worker inherits the memo as it
 stood at the fork and keeps its own additions.
@@ -632,9 +632,8 @@ def dimensions(
 
     An attempt whose matrix this process has eliminated before, among the
     last _MEMO_SIZE (64), builds nothing: it reads the remembered row rank
-    profile, keyed on exactly what build_matrix reads (_memo_key: factor
-    dimensions, multidegree, each point's multiplicity, stratum and pinned
-    coordinates in order, jets, contained subvarieties, prime and seed).
+    profile, keyed on everything build_matrix reads (space, multidegree,
+    points in order, jets, contained subvarieties, prime and seed).
     The column and row limits are checked first, memo or not.  A forked
     worker starts with its parent's memo and keeps its own additions.
 
@@ -695,38 +694,11 @@ def dimensions(
     return certs
 
 
-# The row rank profiles dimensions() has eliminated, by _memo_key, oldest
-# first; at most _MEMO_SIZE of them, each at most 2 MAX_COLUMNS bytes
+# The row rank profiles dimensions() has eliminated, keyed on what
+# build_matrix reads, oldest first; at most _MEMO_SIZE of them, each at most
+# 4 MAX_COLUMNS bytes
 _MEMO_SIZE = 64
 _profiles: dict[tuple, array] = {}
-
-
-def _memo_key(
-    space: MultiProjectiveSpace,
-    degree: Multidegree,
-    scheme: FatPointScheme,
-    prime: int,
-    seed: int,
-) -> tuple:
-    """Everything build_matrix(space, degree, scheme, prime, seed) reads, as
-    a hashable tuple: the points as runs of equal (multiplicity, stratum,
-    pinned coordinates) with their lengths, in order, so a scheme of a few
-    kinds of general point gives a key of a few entries."""
-    points = tuple(
-        (*spec, len(list(run)))
-        for spec, run in groupby(
-            (pt.multiplicity, pt.spec.stratum, pt.spec.coords) for pt in scheme.points
-        )
-    )
-    return (
-        space.factor_dims,
-        degree.degrees,
-        points,
-        tuple((jet.base_index, jet.order, jet.direction) for jet in scheme.jets),
-        tuple(sub.vanishing for sub in scheme.contained),
-        prime,
-        seed,
-    )
 
 
 def _row_profile(
@@ -740,12 +712,14 @@ def _row_profile(
     remembered, or built and eliminated in place (conditions as columns, as
     build_matrix lays it out) and remembered; the matrix is gone on return.
     The caller has checked the column and row limits."""
-    key = _memo_key(space, degree, scheme, p, seed)
+    # the frozen dataclasses hash and compare by every field; a run of equal
+    # points is one (point, length) entry, so a key holds few point objects
+    points = tuple((pt, len(list(run))) for pt, run in groupby(scheme.points))
+    key = (space, degree, points, tuple(scheme.jets), tuple(scheme.contained), p, seed)
     profile = _profiles.get(key)
     if profile is None:
         pivots = _rank_profile(build_matrix(space, degree, scheme, prime=p, seed=seed).array.T, p)
-        # condition indices, below 2 MAX_COLUMNS: 16 bits unless the limit was raised
-        profile = array("H" if not pivots or pivots[-1] < 1 << 16 else "I", pivots)
+        profile = array("I", pivots)
         _profiles[key] = profile
         if len(_profiles) > _MEMO_SIZE:
             del _profiles[next(iter(_profiles))]

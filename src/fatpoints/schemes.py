@@ -63,6 +63,10 @@ class PointSpec:
     stratum: CoordinateSubvariety | None = None
     coords: tuple[tuple[int, ...], ...] | None = None
 
+    def __post_init__(self):
+        if self.coords is not None:
+            object.__setattr__(self, "coords", tuple(tuple(vec) for vec in self.coords))
+
     def check(self, space: MultiProjectiveSpace):
         if self.stratum is not None:
             self.stratum.check(space)
@@ -102,6 +106,8 @@ class JetCondition:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("jet order must be >= 1")
+        if self.direction is not None:
+            object.__setattr__(self, "direction", tuple(self.direction))
 
 
 @dataclass

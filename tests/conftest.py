@@ -6,6 +6,15 @@ import pytest
 from fatpoints import engine
 
 
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Every test starts with the engine's memo of eliminated matrices
+    empty, so what a test computes twice it computes afresh the first time,
+    whatever the tests before it answered; a test that wants a warm memo
+    warms it itself."""
+    engine._profiles.clear()
+
+
 class CallLog:
     """A list of values that this process and every process forked from it
     append to: one line per value, written with one os.write on an O_APPEND
@@ -46,10 +55,7 @@ def call_log(tmp_path):
 @pytest.fixture
 def build_calls(monkeypatch, call_log):
     """The number of points of each matrix the engine builds, in order
-    within each process, also when a driver forks workers.  The engine's
-    memo of eliminated matrices starts empty, so the counts are those of a
-    process that has eliminated nothing yet."""
-    engine._profiles.clear()
+    within each process, also when a driver forks workers."""
     real = engine.build_matrix
 
     def counting(space, degree, scheme, **kwargs):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fatpoints import __version__, arith, cli
+from fatpoints import __version__, arith, cli, engine
 from fatpoints.cli import main
 from fatpoints.engine import dimension
 from fatpoints.schemes import make_scheme
@@ -81,6 +81,7 @@ def test_defective_exit_codes(capsys):
 def test_json_output_deterministic(capsys):
     args = ("dim", "--space", "1x1", "--deg", "3,3", "--scheme", "3,2^3", "--json")
     code1, out1, _ = run_cli(capsys, *args)
+    engine._profiles.clear()  # the second run eliminates afresh
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2

@@ -153,6 +153,26 @@ def test_a_change_of_any_part_of_the_key_builds_anew(build_calls, part):
     assert [cert.to_json()] == _cold(*changed[:3], [len(changed[2].points)], changed[3])
 
 
+def test_pinned_coordinates_and_directions_given_as_lists(build_calls):
+    # lists are kept as tuples, so a system given with lists is the system
+    # given with tuples: hashable, and answered from the memo
+    space, degree, scheme, config = _base()
+    want = dimension(space, degree, scheme, config).to_json()
+    listed = FatPointScheme(
+        [
+            FatPoint(2, PointSpec(None, [[1, 2], [1, 3, 5]])),
+            FatPoint(1, PointSpec(None, [[2, 1], [4, 1, 1]])),
+            *scheme.points[2:],
+        ],
+        jets=[JetCondition(0, 2, [1, 2, 3])],
+        contained=scheme.contained,
+    )
+    assert listed.points == scheme.points and listed.jets == scheme.jets
+    build_calls.clear()
+    assert dimension(space, degree, listed, config).to_json() == want
+    assert build_calls == []
+
+
 def test_a_change_of_the_space_or_the_degree_builds_anew(build_calls):
     # three general double points: 18 columns and 12 conditions in each
     scheme = FatPointScheme([FatPoint(2) for _ in range(3)])
@@ -186,7 +206,6 @@ def test_the_replay_builds_each_quartic_head_once(monkeypatch, seed):
     # on one CPU the base cases are answered in this process, so the
     # hypotheses' quartic heads, which are base cases too, are remembered
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    engine._profiles.clear()
     built = []
     real = engine.build_matrix
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from fatpoints import replication
+from fatpoints import engine, replication
 from fatpoints.engine import ALTERNATE_PRIME, PrimeFieldConfig
 from fatpoints.replication import (
     BaseCase,
@@ -256,6 +256,7 @@ def test_fanned_out_reports_equal_the_serial_ones(monkeypatch, blas_threads, for
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _forbid_fork(monkeypatch)
+    engine._profiles.clear()  # the serial run eliminates afresh
     serial = [
         json.dumps(verify_main_theorem(3, 3, config)),
         json.dumps(verify_ah(config, 5, 6)),
@@ -401,6 +402,7 @@ def test_fanned_out_basecases_equal_the_serial_ones(
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _forbid_fork(monkeypatch)
+    engine._profiles.clear()  # the serial run eliminates afresh
     serial = json.dumps(run_basecases(config=config, cases=cases))
     assert fanned == serial
     failed = json.loads(fanned)["failed"]

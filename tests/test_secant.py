@@ -96,6 +96,7 @@ def test_is_defective_matches_separate_eliminations(dims, degs, seed):
             mat = build_matrix(space, degree, scheme, prime=p, seed=sd)
             assert dim == mat.cols - rank_fp(mat.array, p), (r, p, sd)
         assert cert.rows == mat.rows
+        engine._profiles.clear()  # dimension() eliminates afresh
         assert cert.to_json() == dimension(space, degree, scheme, config).to_json()
     # r_low again, as a duplicate count, and a smaller r before it
     rs = [rep.r_low, rep.r_high, 1, rep.r_low]
@@ -203,6 +204,7 @@ def test_theorem_hypotheses_matches_separate_eliminations(dims, degs, seed):
     config = PrimeFieldConfig(seed=seed)
 
     def alone(profile):
+        engine._profiles.clear()  # each system is eliminated afresh
         return dimension(space, degree, make_scheme(profile), config)
 
     rep = theorem_hypotheses(space, degree, config)
