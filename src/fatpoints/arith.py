@@ -43,9 +43,10 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple
 
-import numpy as np
-
+from . import _lazy_import
 from .schemes import any_true, binom, conditions_of_fat_point
+
+np = _lazy_import("numpy")  # loaded at the first lemma sweep
 
 # the largest bound with 8 C(B+4,4)^2 < 2^63 (see the module docstring)
 INT64_BOUND = 398

@@ -426,8 +426,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _usage(exc)
 
-    key = _request_key(args)
     if args.cache:
+        key = _request_key(args)
         try:
             rec = _cache_lookup(args.cache, key)
         except OSError as exc:

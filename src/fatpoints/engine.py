@@ -30,7 +30,9 @@ the factor monomials the kept columns use, and makes their last product in
 the batch's rows of the matrix, so the build holds the matrix and one
 batch's tables.  It stores the conditions as columns: the matrix is
 the transpose of a C-contiguous (columns, rows) array, the layout in which
-dimensions() eliminates it.
+dimensions() eliminates it.  A matrix of 4 MB or more is made on its own
+anonymous mapping (_matrix), not on the heap, so its memory goes back to
+the system with it and a later matrix never grows the heap around a hole.
 
 The elimination (rank_profile) returns the column rank profile over F_p,
 the pivot columns in order; rank_fp is its length.  It is exact for every
@@ -69,23 +71,28 @@ a matrix met again (the paper's replay asks for its quartic heads as base
 cases and as collision hypotheses) is answered with the profile a rebuild
 would give, and every certificate stays the same.  The
 column and row limits are checked before the lookup, so a refusal never
-depends on what is remembered.  A forked worker inherits the memo as it
-stood at the fork and keeps its own additions.
+depends on what is remembered.  A forked worker of replication._answer_all
+inherits the memo as it stood at the fork and sends the profiles it adds
+back with its answers; the parent remembers them (_remember), oldest first.
+
+numpy is bound lazily (fatpoints._lazy_import): it is executed at the
+engine's first point draw, build or elimination, so importing the engine
+costs no numpy, and a command that builds a matrix pays numpy's import
+once, at its first matrix.
 """
 from __future__ import annotations
 
+import mmap
 import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 from itertools import groupby
 from math import factorial, perm, prod
 
-import numpy as np
-
+from . import _lazy_import
 from .schemes import FatPointScheme, conditions_of_fat_point
 from .spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
 from .spaces import compositions, ideal_basis, ideal_basis_size
@@ -93,6 +100,8 @@ from .spaces import compositions, ideal_basis, ideal_basis_size
 DEFAULT_PRIME = 2147483647
 ALTERNATE_PRIME = 2147483629
 MAX_COLUMNS = 4096
+
+np = _lazy_import("numpy")  # loaded at the first draw, build or elimination
 
 
 @cache
@@ -337,7 +346,7 @@ def build_matrix(
     starts = np.cumsum([0] + [conditions_of_fat_point(a, N) for a in mults])
     # conditions as columns: A.T is C-contiguous, the layout dimensions()
     # eliminates in place
-    A = np.empty((ncols, starts[-1] + len(scheme.jets)), dtype=np.int64).T
+    A = _matrix((ncols, starts[-1] + len(scheme.jets))).T
     aff = np.cumsum((0,) + space.factor_dims)  # each factor's affine coordinates
 
     def mulmod(x, y, out=None):
@@ -435,6 +444,27 @@ def build_matrix(
 _PANEL = 32
 _CHUNK = 128
 _NARROW = 2 * _PANEL
+
+
+# a matrix of at least this many bytes (numpy's threshold for advising huge
+# pages) is made on its own mapping (_matrix)
+_MAPPED_BYTES = 1 << 22
+
+
+def _matrix(shape: tuple[int, int]) -> np.ndarray:
+    """An int64 array of this shape, its entries unset.  From _MAPPED_BYTES
+    up it lies on its own anonymous mapping, given back to the system when
+    the array goes, and advised for huge pages as numpy advises its own
+    arrays of that size.  From the heap, a matrix that no longer fits the
+    hole the last one left (a small allocation made since can split it)
+    grows the heap by most of its size, and the process keeps both."""
+    nbytes = shape[0] * shape[1] * 8
+    if nbytes < _MAPPED_BYTES:
+        return np.empty(shape, dtype=np.int64)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=np.int64).reshape(shape)
 
 
 def rank_fp(matrix: np.ndarray, p: int) -> int:
@@ -635,7 +665,7 @@ def dimensions(
     profile, keyed on everything build_matrix reads (space, multidegree,
     points in order, jets, contained subvarieties, prime and seed).
     The column and row limits are checked first, memo or not.  A forked
-    worker starts with its parent's memo and keeps its own additions.
+    worker starts with its parent's memo and sends its additions back.
 
     Every scheme gets the same two attempts: (prime, seed), then the
     alternate prime at the fresh seed (seed * 1000003 + 1) mod 2^63.  The
@@ -720,16 +750,24 @@ def _row_profile(
     if profile is None:
         pivots = _rank_profile(build_matrix(space, degree, scheme, prime=p, seed=seed).array.T, p)
         profile = array("I", pivots)
-        _profiles[key] = profile
-        if len(_profiles) > _MEMO_SIZE:
-            del _profiles[next(iter(_profiles))]
+        _remember(key, profile)
     return profile
+
+
+def _remember(key: tuple, profile: array) -> None:
+    """Remember a row rank profile under its key, forgetting the oldest
+    entry past _MEMO_SIZE."""
+    _profiles[key] = profile
+    if len(_profiles) > _MEMO_SIZE:
+        del _profiles[next(iter(_profiles))]
 
 
 # --- exact-rational oracle ---------------------------------------------
 
 
 def _exact_normalize(vec):
+    from fractions import Fraction  # here: only the oracle uses it
+
     vec = [Fraction(c) for c in vec]
     for i, c in enumerate(vec):
         if c:
@@ -745,6 +783,8 @@ def exact_rank_oracle(
     """Rank of the condition matrix over the rationals.  All points (and
     jet directions) must be pinned.  Intended for small cross-checks of
     the prime-field path; pure-Python Fraction arithmetic."""
+    from fractions import Fraction  # here: only the oracle uses it
+
     scheme.check(space)
     exps = ideal_basis(space, degree, scheme.contained)
     C = space.total_coords()

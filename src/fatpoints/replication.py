@@ -26,7 +26,10 @@ twice: a Linux pipe read takes its bytes under the pipe's lock, the pipe
 only ever holds whole records, and every read asks for exactly one record,
 so each read takes one whole record from the head of the pipe.  The parent
 answers the costliest question itself, before it reads the queue, so that
-its peak memory still sees the largest matrix.  OpenBLAS is capped at
+its peak memory still sees the largest matrix.  A worker sends back, with
+its answers, the row rank profiles it added to the engine's memo, and the
+parent remembers them, so a matrix a worker eliminated is not eliminated
+again in the parent.  OpenBLAS is capped at
 one thread for the length of the call, because a forked child that brings
 its own pool of spinning BLAS threads makes the pass several times slower
 on two CPUs, while a second BLAS thread buys nothing on matrices this
@@ -36,19 +39,23 @@ lock held by a BLAS thread.  The package starts no thread, and the helper
 forks only while the calling process runs a single Python thread.  And a
 child leaves by os._exit after writing its answers, so it never returns
 into its caller's stack, runs no exit handler and flushes no buffer it
-inherited.  Python 3.12 and later warn on fork() in a process with other
-live threads; the single-thread condition should keep that warning away,
-but that is unverified: the package is tested on Python 3.10 and 3.11.
+inherited.  Python 3.12 and later warn (DeprecationWarning) on fork() in
+a process with other live threads; the single-thread condition should
+keep that warning away.  CI runs the tests on Python 3.10, 3.11 and 3.12,
+and a warning there would show in pytest's warnings summary.
+
+The OpenBLAS thread control is looked up after numpy is loaded: the package
+binds numpy lazily, and its OpenBLAS is mapped only once numpy executes, so
+a driver that is the first thing a process runs still fans out.
 """
 from __future__ import annotations
 
-import ctypes
 import functools
 import os
-import pickle
 import threading
 from dataclasses import dataclass
 
+from . import engine
 from .arith import b, ell, j, k_down, k_up, s, v
 from .engine import PrimeFieldConfig, dimension, status_matches
 from .schemes import FatPoint, FatPointScheme, PointSpec
@@ -355,7 +362,12 @@ def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS library numpy loaded,
     found through its own symbols; None when there is none (another BLAS,
     or no /proc/self/maps to find it in).  The library is looked up once
-    per process; the count itself is read and set on every call."""
+    per process, after numpy is loaded (the package binds it lazily, and
+    its OpenBLAS is mapped only then); the count itself is read and set on
+    every call."""
+    import ctypes
+
+    engine.np.ndarray  # loads numpy, if nothing has yet
     try:
         with open("/proc/self/maps") as fh:
             libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
@@ -390,15 +402,22 @@ def _take(ask, questions, queue: int) -> list[tuple[int, object]]:
 
 def _answer_in_child(ask, questions, queue: int, r: int, w: int) -> None:
     """The body of a forked worker.  It writes (True, (index, answer)
-    pairs) or (False, exception) to w and leaves by os._exit, whatever
-    happens: it must never return into the stack it was forked from."""
+    pairs, memo additions) or (False, exception, memo additions) to w and
+    leaves by os._exit, whatever happens: it must never return into the
+    stack it was forked from.  The memo additions are the (key, profile)
+    entries of engine._profiles that this worker added, oldest first."""
     code = 1
     try:
+        import pickle
+
         os.close(r)
+        inherited = set(engine._profiles)
         try:
-            payload = (True, _take(ask, questions, queue))
+            answered, value = True, _take(ask, questions, queue)
         except Exception as exc:
-            payload = (False, exc)
+            answered, value = False, exc
+        added = [entry for entry in engine._profiles.items() if entry[0] not in inherited]
+        payload = (answered, value, added)
         with open(w, "wb") as fh:
             fh.write(pickle.dumps(payload))
         code = 0
@@ -444,7 +463,10 @@ def _answer_all(ask, questions: list, cost) -> list:
 def _fan_out(ask, questions, order: list[int], children: int) -> list:
     """_answer_all's answers: order[0] here, then the queue of order[1:],
     read here and in `children` forked children, which are killed if this
-    process raises."""
+    process raises.  The matrices the children eliminated join this
+    process's memo (engine._remember), each child's oldest first."""
+    import pickle
+
     queue, fill = os.pipe()
     try:
         # one write of at most _PIPE_BUF bytes into a new pipe cannot block
@@ -481,11 +503,13 @@ def _fan_out(ask, questions, order: list[int], children: int) -> list:
             raise RuntimeError(
                 f"a worker process ended without answering (exit status {status})"
             )
-        answered, value = pickle.loads(data)
+        answered, value, added = pickle.loads(data)
         if not answered:
             raise value
         for i, answer in value:
             answers[i] = answer
+        for key, profile in added:
+            engine._remember(key, profile)
     return answers
 
 

@@ -149,6 +149,15 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert len(cache.read_text().splitlines()) == 2
 
 
+def test_no_request_key_is_made_without_a_cache(monkeypatch, capsys):
+    def refuse(args):
+        raise AssertionError("a key nothing reads")
+
+    monkeypatch.setattr(cli, "_request_key", refuse)
+    code, out, _ = run_cli(capsys, "dim", "--space", "1x1", "--deg", "3,3", "--scheme", "3,2^3")
+    assert code == 0 and "Regular" in out
+
+
 def test_cache_record_of_another_version_is_a_miss(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache.jsonl"
     args = ("dim", "--space", "1x1", "--deg", "3,3", "--scheme", "3,2^3",

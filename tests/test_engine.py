@@ -1,3 +1,4 @@
+import mmap
 import random
 import tracemalloc
 from bisect import bisect_left
@@ -334,7 +335,9 @@ def test_an_attempt_holds_one_copy_and_one_chunk():
     # chunk's float64 product straight into it, so its peak stays near one
     # copy of the r_high matrix plus one chunk (the second run, after
     # imports and caches, with the memo of eliminated matrices emptied so
-    # that the second run eliminates too)
+    # that the second run eliminates too).  The matrix lies on its own
+    # mapping (engine._matrix), which tracemalloc does not see, so what it
+    # sees is what comes on top of the one copy
     sp, dg = MultiProjectiveSpace((3, 3)), Multidegree((4, 4))
     is_defective(sp, dg)
     engine._profiles.clear()
@@ -345,13 +348,16 @@ def test_an_attempt_holds_one_copy_and_one_chunk():
     finally:
         tracemalloc.stop()
     assert report.certified_nondefective
-    cert = report.high
-    assert peak < 1.3 * cert.rows * cert.cols * 8, peak / (cert.rows * cert.cols * 8)
+    nbytes = report.high.rows * report.high.cols * 8
+    assert nbytes >= engine._MAPPED_BYTES
+    assert peak < 0.3 * nbytes, peak / nbytes
 
 
 def test_a_build_holds_its_matrix_and_small_tables():
     # build_matrix makes each batch's last Kronecker product in its rows of
-    # the matrix, so only the per-factor tables of one batch come on top
+    # the matrix, so only the per-factor tables of one batch come on top;
+    # tracemalloc sees those, and not the matrix, which lies on its own
+    # mapping
     sp, dg = MultiProjectiveSpace((3, 3)), Multidegree((4, 4))
     scheme = make_scheme([(2, 176)])
     build_matrix(sp, dg, scheme)
@@ -362,7 +368,11 @@ def test_a_build_holds_its_matrix_and_small_tables():
     finally:
         tracemalloc.stop()
     assert mat.array.shape == (176 * 7, 1225)
-    assert peak < 1.1 * mat.array.nbytes, peak / mat.array.nbytes
+    base = mat.array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base.obj, mmap.mmap)  # a memoryview of the mapping
+    assert peak < 0.1 * mat.array.nbytes, peak / mat.array.nbytes
 
 
 def test_prefix_ranks_match_exact_oracle():

@@ -5,7 +5,8 @@ keyed on everything build_matrix reads, so a matrix met again in the same
 process is not built again.  These tests check that a remembered profile
 gives the certificate a rebuild gives, that a change of any part of the key
 builds anew, that the limits refuse a system whatever the memo holds, and
-that the paper's replay builds each quartic head once.
+that the paper's replay builds each quartic head once, also when a forked
+worker answered its base case and sent its profile back.
 """
 import hashlib
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatpoints import engine
+from fatpoints import engine, replication
 from fatpoints.engine import DEFAULT_PRIME, PrimeFieldConfig, dimension, dimensions
 from fatpoints.replication import run_basecases
 from fatpoints.schemes import FatPoint, FatPointScheme, JetCondition, PointSpec
@@ -197,6 +198,20 @@ def test_the_limits_refuse_a_remembered_system(monkeypatch):
     dimension(space, degree, scheme)
 
 
+def test_the_oldest_profile_is_forgotten_past_the_memo_size(monkeypatch, build_calls):
+    monkeypatch.setattr(engine, "_MEMO_SIZE", 2)
+    space, degree = MultiProjectiveSpace((2,)), Multidegree((4,))
+    schemes = [FatPointScheme([FatPoint(2) for _ in range(k)]) for k in (2, 3, 4)]
+    for scheme in schemes:
+        dimension(space, degree, scheme)
+    assert build_calls == [2, 3, 4]
+    for scheme in reversed(schemes):
+        dimension(space, degree, scheme)
+    # 4 and 3 were remembered; 2 was forgotten, and built again it forgets 3
+    assert build_calls == [2, 3, 4, 2]
+    assert len(engine._profiles) == 2
+
+
 def _digest(report) -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
@@ -229,3 +244,24 @@ def test_the_replay_builds_each_quartic_head_once(monkeypatch, seed):
         assert heads
     # no matrix is built twice in the process
     assert len(built) == len(set(built))
+
+
+@pytest.mark.skipif(replication._allowed_cpus() < 2, reason="fewer than 2 CPUs allowed")
+def test_the_fanned_out_replay_builds_no_quartic_head_again(build_calls):
+    # the base cases are answered in this process and a forked worker, which
+    # sends back the profiles it eliminated, so every quartic head is
+    # remembered here, whichever process answered its base case
+    if replication._openblas_threads() is None:
+        pytest.skip("no OpenBLAS thread control, so the drivers run serially")
+    config = PrimeFieldConfig(seed=0)
+    digests = json.loads(DIGESTS.read_text())["0"]
+    assert _digest(run_basecases(config=config)) == digests["run_basecases()"]
+    for dims, degs in HYPOTHESES:
+        space, degree = MultiProjectiveSpace(dims), Multidegree(degs)
+        build_calls.clear()
+        report = theorem_hypotheses(space, degree, config)
+        label = f"theorem_hypotheses({space.label()}; {degree.label()})"
+        assert _digest(report.to_json()) == digests[label]
+        # one matrix: the residual head (3, 2^k), certified at its first
+        # attempt; the quartic head (4, 2^k) of as many points is not built
+        assert len(build_calls) == 1

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from fatpoints import engine, replication
-from fatpoints.engine import ALTERNATE_PRIME, PrimeFieldConfig
+from fatpoints.engine import ALTERNATE_PRIME, PrimeFieldConfig, dimension
 from fatpoints.replication import (
     BaseCase,
     load_bundled_registry,
@@ -18,7 +18,7 @@ from fatpoints.replication import (
     verify_ah,
     verify_main_theorem,
 )
-from fatpoints.schemes import FatPoint, virtual_dim
+from fatpoints.schemes import FatPoint, make_scheme, virtual_dim
 from fatpoints.secant import (
     critical_r,
     is_defective,
@@ -378,6 +378,27 @@ def test_the_largest_queue_answers_each_question_once_in_order(
     assert len(forks) == 3
     _assert_no_child_left()
     assert blas_threads() == before
+
+
+def test_a_workers_eliminations_join_this_processs_memo(blas_threads, forks, build_calls):
+    # double points on P^2 quartics: this process answers the costliest
+    # question, k = 5, first, and waits, so that the worker drains the queue
+    space, degree = MultiProjectiveSpace((2,)), Multidegree((4,))
+    here = os.getpid()
+
+    def ask(k):
+        if k == 5 and os.getpid() == here:
+            time.sleep(0.5)
+        return os.getpid(), dimension(space, degree, make_scheme([(2, k)])).to_json()
+
+    counts = [2, 3, 4, 5]
+    answers = replication._answer_all(ask, counts, lambda k: k)
+    assert len(forks) == 1
+    assert any(pid != here for pid, _ in answers)  # the worker answered some
+    build_calls.clear()
+    again = [dimension(space, degree, make_scheme([(2, k)])).to_json() for k in counts]
+    assert again == [cert for _, cert in answers]
+    assert build_calls == []  # every matrix, the worker's too, was remembered here
 
 
 def test_one_question_more_than_the_queue_holds_is_refused(forks):
