@@ -44,7 +44,6 @@ from .degeneration import (
     star_nonspeciality_check,
     star_span_check,
     trace,
-    vdim_additivity_check,
 )
 from .engine import (
     Certificate,
@@ -80,14 +79,12 @@ from .secant import (
     is_defective,
     secant_dim,
     secant_dims,
-    secant_expected_dim,
     theorem_hypotheses,
 )
 from .spaces import (
     CoordinateSubvariety,
     Multidegree,
     MultiProjectiveSpace,
-    basis_size,
     ideal_basis,
     ideal_basis_size,
     monomial_basis,

@@ -223,7 +223,7 @@ def _cmd_star(args, config):
         check_columns(MultiProjectiveSpace((args.n - 1,)), Multidegree((3,)),
                       rows=comb(args.n + 1, 2) * args.n)
     star = star_configuration(args.n, config.prime, config.seed)
-    certs = star_nonspeciality_check(star, config)
+    certs = star_nonspeciality_check(star, config.seed)
     span_ok = star_span_check(star)
     ok = span_ok and all(c.status.certified for c in certs.values())
     doc = {

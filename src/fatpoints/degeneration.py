@@ -28,7 +28,6 @@ from .schemes import (
     JetCondition,
     PointSpec,
     conditions_of_fat_point,
-    virtual_dim,
 )
 from .spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
 
@@ -175,21 +174,6 @@ def trace(
     return tspace, degree, FatPointScheme(points, contained=contained)
 
 
-def vdim_additivity_check(
-    space: MultiProjectiveSpace,
-    degree: Multidegree,
-    scheme: FatPointScheme,
-    divisor: DivisorSpec,
-) -> dict:
-    """vdim L(X) = vdim Res + vdim Tr (purely combinatorial)."""
-    rdeg, rscheme = residue(space, degree, scheme, divisor)
-    tspace, tdeg, tscheme = trace(space, degree, scheme, divisor)
-    vd = virtual_dim(space, degree, scheme)
-    vr = virtual_dim(space, rdeg, rscheme)
-    vt = virtual_dim(tspace, tdeg, tscheme)
-    return {"vdim": vd, "vdim_residue": vr, "vdim_trace": vt, "additive": vd == vr + vt}
-
-
 def _pin_scheme(
     space: MultiProjectiveSpace,
     scheme: FatPointScheme,
@@ -313,18 +297,13 @@ def star_span_check(star: StarConfiguration) -> bool:
 
 
 def star_nonspeciality_check(
-    star: StarConfiguration, config: PrimeFieldConfig | None = None
+    star: StarConfiguration, seed: int = 0
 ) -> dict[str, Certificate]:
     """The star points T on the hyperplane P^{n-1} behave like general
     points for quadrics through T, cubics through T and cubics doubled
     along T.  Verified by pinning the star points into the engine at
-    star.prime; the config gives the seed, and a config at another prime
-    is an error."""
-    config = config or PrimeFieldConfig(prime=star.prime)
-    if config.prime != star.prime:
-        raise ValueError(
-            f"the star is drawn over F_{star.prime}, the config is at {config.prime}"
-        )
+    PrimeFieldConfig(star.prime, seed)."""
+    config = PrimeFieldConfig(star.prime, seed)
     pts = star.embedded_points()
     space = MultiProjectiveSpace((star.n - 1,))
     out = {}

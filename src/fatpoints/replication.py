@@ -16,7 +16,7 @@ Both drivers ask independent questions, one system each, and so does
 CPU the process may run on: in this process and in one forked child per
 further CPU.  Every process pulls its next question from one shared queue
 when it finishes one, so the load balances by what the questions actually
-cost; a cost model ordered by basis_size ** 3 gave one process 43 ms and
+cost; a cost model ordered by ideal_basis_size ** 3 gave one process 43 ms and
 the other 100 ms of verify_ah(5, 6).  The queue is a pipe of fixed-size
 records, one question index each.  The parent writes them all, costliest
 first, in one write of at most PIPE_BUF bytes before it forks, which
@@ -70,7 +70,6 @@ from .spaces import (
     CoordinateSubvariety,
     Multidegree,
     MultiProjectiveSpace,
-    basis_size,
     ideal_basis_size,
 )
 
@@ -557,7 +556,7 @@ def verify_main_theorem(
     answers = _answer_all(
         lambda q: is_defective(*q, config),
         list(questions.values()),
-        lambda q: basis_size(*q) ** 3,
+        lambda q: ideal_basis_size(*q) ** 3,
     )
     reports = dict(zip(questions, answers))
     entries = []
@@ -629,6 +628,6 @@ def verify_ah(
     entries = _answer_all(
         lambda q: _ah_entry(*q, config),
         [(MultiProjectiveSpace((n,)), Multidegree((d,))) for n, d in pairs],
-        lambda q: basis_size(*q) ** 3,
+        lambda q: ideal_basis_size(*q) ** 3,
     )
     return {"cases": entries, "passed": all(e["ok"] for e in entries)}

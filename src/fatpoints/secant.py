@@ -21,7 +21,7 @@ from .engine import (
     status_matches,
 )
 from .schemes import conditions_of_fat_point, make_scheme
-from .spaces import Multidegree, MultiProjectiveSpace, basis_size
+from .spaces import Multidegree, MultiProjectiveSpace, ideal_basis_size
 
 
 @dataclass
@@ -43,14 +43,6 @@ class SecantVerdict:
         return _to_json(self)
 
 
-def secant_expected_dim(
-    space: MultiProjectiveSpace, degree: Multidegree, r: int
-) -> int:
-    L = basis_size(space, degree)
-    N = space.ambient_dim()
-    return min(L - 1, r * (N + 1) - 1)
-
-
 def secant_dims(
     space: MultiProjectiveSpace,
     degree: Multidegree,
@@ -59,7 +51,9 @@ def secant_dims(
 ) -> list[SecantVerdict]:
     """Dimension of the r-th secant variety via r general 2-fat points, for
     each r in rs.  The r points are the first r of one draw of max(rs), so
-    one dimensions() call answers every r."""
+    one dimensions() call answers every r.  The secant's actual and
+    expected dimensions are L - 1 less the system's computed and expected
+    ones, so its defect is the system's computed_dim - expected_dim."""
     if any(r < 1 for r in rs):
         raise ValueError("r must be >= 1")
     rows = max(rs, default=0) * conditions_of_fat_point(2, space.ambient_dim())
@@ -67,9 +61,8 @@ def secant_dims(
     scheme = make_scheme([(2, max(rs, default=0))])
     verdicts = []
     for r, cert in zip(rs, dimensions(space, degree, scheme, rs, config)):
-        actual = L - 1 - cert.computed_dim
-        exp = secant_expected_dim(space, degree, r)
-        defect = exp - actual
+        exp, actual = L - 1 - cert.expected_dim, L - 1 - cert.computed_dim
+        defect = cert.computed_dim - cert.expected_dim
         verdicts.append(
             SecantVerdict(space, degree, r, exp, actual, defect, defect > 0, cert)
         )
@@ -93,7 +86,7 @@ def critical_r(space: MultiProjectiveSpace, degree: Multidegree) -> tuple[int, i
     for all r at once.  A system of fewer than N + 1 monomials has no such
     r, as one double point already imposes more conditions than it has
     monomials, and is refused."""
-    L = basis_size(space, degree)
+    L = ideal_basis_size(space, degree)
     N1 = space.ambient_dim() + 1
     if L < N1:
         raise ValueError(
@@ -111,7 +104,7 @@ def collision_r_values(
     the ceiling of L / (N + 1).  The floor is r_low of critical_r; the
     ceiling is r_high, or r_low again when N + 1 divides L."""
     r_low, r_high = critical_r(space, degree)
-    if basis_size(space, degree) % (space.ambient_dim() + 1):
+    if ideal_basis_size(space, degree) % (space.ambient_dim() + 1):
         return r_low, r_high
     return (r_low,)
 

@@ -113,11 +113,6 @@ def compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def basis_size(space: MultiProjectiveSpace, degree: Multidegree) -> int:
-    degree.check(space)
-    return prod(comb(n + d, n) for n, d in zip(space.factor_dims, degree.degrees))
-
-
 def ideal_basis_size(
     space: MultiProjectiveSpace,
     degree: Multidegree,
@@ -129,7 +124,8 @@ def ideal_basis_size(
     coordinates divides it.  By inclusion-exclusion over the sets S of
     subvarieties it misses, the count is the sum of (-1)^|S| times the
     number of monomials free of every coordinate that vanishes on some
-    member of S: a product of per-factor binomials, basis_size at S = {}.
+    member of S: a product of per-factor binomials.  With no subvarieties
+    it is the size of the monomial basis, a product of comb(n_i + d_i, d_i).
     """
     degree.check(space)
     for sub in contained:

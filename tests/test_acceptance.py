@@ -21,10 +21,11 @@ from fatpoints import engine
 from fatpoints.degeneration import (
     DivisorSpec,
     castelnuovo_bound_check,
+    residue,
     specialize_onto,
     star_configuration,
     star_span_check,
-    vdim_additivity_check,
+    trace,
 )
 from fatpoints.engine import (
     ALTERNATE_PRIME,
@@ -167,7 +168,10 @@ def test_criterion_6b_vdim_additivity():
         div = DivisorSpec(factor, rng.randint(0, dims[factor]))
         scheme = make_scheme([(rng.randint(1, 4), rng.randint(1, 6))])
         spec = specialize_onto(sp, scheme, div, rng.randint(0, len(scheme.points)))
-        assert vdim_additivity_check(sp, dg, spec, div)["additive"]
+        rdeg, rspec = residue(sp, dg, spec, div)
+        tsp, tdg, tspec = trace(sp, dg, spec, div)
+        vd = virtual_dim(sp, dg, spec)
+        assert vd == virtual_dim(sp, rdeg, rspec) + virtual_dim(tsp, tdg, tspec)
         done += 1
 
 

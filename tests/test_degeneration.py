@@ -16,12 +16,10 @@ from fatpoints.degeneration import (
     star_nonspeciality_check,
     star_span_check,
     trace,
-    vdim_additivity_check,
 )
 from fatpoints.engine import (
     ALTERNATE_PRIME,
     DEFAULT_PRIME,
-    PrimeFieldConfig,
     dimension,
     draw_scheme_points,
     rank_fp,
@@ -75,6 +73,17 @@ def test_residue_trace_errors():
         trace(sp, dg, make_scheme("2"), div0)  # P^1 factor would collapse
 
 
+def _split_vdims(sp, dg, scheme, div):
+    """The virtual dimensions of the system, its residue and its trace."""
+    rdeg, rscheme = residue(sp, dg, scheme, div)
+    tspace, tdeg, tscheme = trace(sp, dg, scheme, div)
+    return (
+        virtual_dim(sp, dg, scheme),
+        virtual_dim(sp, rdeg, rscheme),
+        virtual_dim(tspace, tdeg, tscheme),
+    )
+
+
 def test_vdim_additivity_example():
     # two fat points on P2xP2 in bidegree (3,3): 100 - 15 - 5 = 80 splits
     # as residue 54 + trace 26
@@ -82,10 +91,7 @@ def test_vdim_additivity_example():
     dg = Multidegree((3, 3))
     div = DivisorSpec(0, 0)
     scheme = specialize_onto(sp, make_scheme("3,2"), div, 2)
-    rep = vdim_additivity_check(sp, dg, scheme, div)
-    assert rep["vdim"] == 80
-    assert rep["vdim_residue"] + rep["vdim_trace"] == 80
-    assert rep["additive"]
+    assert _split_vdims(sp, dg, scheme, div) == (80, 54, 26)
 
 
 def test_vdim_additivity_random():
@@ -103,7 +109,8 @@ def test_vdim_additivity_random():
         div = DivisorSpec(factor, rng.randint(0, dims[factor]))
         onto = rng.randint(0, len(scheme.points))
         spec = specialize_onto(sp, scheme, div, onto)
-        assert vdim_additivity_check(sp, dg, spec, div)["additive"]
+        vd, vr, vt = _split_vdims(sp, dg, spec, div)
+        assert vd == vr + vt
 
 
 def test_castelnuovo_bound():
@@ -116,8 +123,8 @@ def test_castelnuovo_bound():
     assert rep["additive"]
     assert rep["vdim_le_dim"]
     # the vdims read off the certificates are those of the unpinned split
-    vdims = vdim_additivity_check(sp, dg, scheme, div)
-    assert {key: rep[key] for key in vdims} == vdims
+    vdims = (rep["vdim"], rep["vdim_residue"], rep["vdim_trace"])
+    assert vdims == _split_vdims(sp, dg, scheme, div)
 
 
 def _subset_span_check(star):
@@ -229,10 +236,10 @@ def test_star_points_impose_independent_conditions():
         assert certs["cubics-double"].computed_dim == 0
 
 
-def test_star_check_certifies_at_the_star_prime():
-    star = star_configuration(3, DEFAULT_PRIME, 0)
-    with pytest.raises(ValueError, match="drawn over"):
-        star_nonspeciality_check(star, PrimeFieldConfig(prime=ALTERNATE_PRIME))
+def test_star_check_certifies_at_the_star_prime_and_the_given_seed():
+    star = star_configuration(3, ALTERNATE_PRIME, 0)
+    for cert in star_nonspeciality_check(star, seed=5).values():
+        assert (cert.prime, cert.seed) == (ALTERNATE_PRIME, 5)
 
 
 def test_collision_conditions_count():

@@ -20,7 +20,6 @@ from fatpoints.secant import (
     is_defective,
     secant_dim,
     secant_dims,
-    secant_expected_dim,
     theorem_hypotheses,
     veronese_defective_rs,
 )
@@ -28,13 +27,12 @@ from fatpoints.spaces import Multidegree, MultiProjectiveSpace
 
 
 def test_secant_expected_dim():
-    assert secant_expected_dim(MultiProjectiveSpace((2,)), Multidegree((4,)), 5) == 14
-    assert (
-        secant_expected_dim(MultiProjectiveSpace((1, 1)), Multidegree((3, 3)), 5) == 14
-    )
-    assert (
-        secant_expected_dim(MultiProjectiveSpace((2, 2)), Multidegree((1, 1)), 2) == 8
-    )
+    # min(L - 1, r (N + 1) - 1), read off the double-point certificate
+    for dims, degs, r, want in (
+        ((2,), (4,), 5, 14), ((1, 1), (3, 3), 5, 14), ((2, 2), (1, 1), 2, 8),
+    ):
+        space, degree = MultiProjectiveSpace(dims), Multidegree(degs)
+        assert secant_dim(space, degree, r).expected_dim == want
 
 
 def test_secant_dim_defective_quartics():
