@@ -69,6 +69,15 @@ def test_usage_errors_exit64(capsys):
         assert code == 64 and counts in err, err
     code, _, err = run_cli(capsys, "hypotheses", "--space", "1", "--deg", "0")
     assert code == 64 and "fewer monomials (1) than N + 1 = 2" in err, err
+    # a bad degree, and a divisor without its INDEX, parsed by the handler
+    system = ("--space", "1x1", "--deg", "3,3", "--scheme", "2")
+    for argv, reason in (
+        (("dim", "--space", "1x1", "--deg", "3,x", "--scheme", "2"), "bad degree"),
+        (("castelnuovo", *system, "--divisor", "0"), "bad divisor"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64 and out == "" and reason in err, err
+        assert "Traceback" not in err
 
 
 def test_defective_exit_codes(capsys):
@@ -76,6 +85,26 @@ def test_defective_exit_codes(capsys):
     assert code == 0 and "non-defective" in out
     code, out, _ = run_cli(capsys, "defective", "--space", "2", "--deg", "4")
     assert code == 2 and "r = 5" in out
+    # P^3 quartics: the evidence is at r_high = 9
+    code, out, _ = run_cli(capsys, "defective", "--space", "3", "--deg", "4")
+    assert code == 2 and "r = 9" in out
+
+
+def test_secant_cli(tmp_path, capsys):
+    # sigma_5 of the quartic Veronese surface has defect 1, sigma_4 none
+    quartics = ("secant", "--space", "2", "--deg", "4")
+    code, out, _ = run_cli(capsys, *quartics, "--r", "5")
+    assert code == 2 and out == (
+        "sigma_5 of the (4) embedding of 2: dim 13, expected 14, defect 1\n"
+    )
+    code, out, _ = run_cli(capsys, *quartics, "--r", "4", "--json")
+    assert code == 0 and json.loads(out)["defect"] == 0
+    args = (*quartics, "--r", "5", "--json", "--cache", str(tmp_path / "c.jsonl"))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 2 and json.loads(out)["defect"] == 1
+    miss = json.loads(out)
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 2 and json.loads(out) == dict(miss, cached=True)
 
 
 def test_json_output_deterministic(capsys):
@@ -500,12 +529,12 @@ def test_on_divisor_flags_place_the_next_points_in_turn(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "spec", ["0:0:5", f"0:0:{10**15}", "0:0:0", "0:0:-3", "5:0:1", "-1:0:1"]
+    "spec", ["0:0:5", f"0:0:{10**15}", "0:0:0", "0:0:-3", "5:0:1", "-1:0:1", "0:0"]
 )
 def test_on_divisor_overflow_is_usage_error(capsys, spec):
     # more strata than points, also a COUNT whose strata could not even be
-    # listed, a COUNT below 1, which confines no point, or a FACTOR that the
-    # space does not have
+    # listed, a COUNT below 1, which confines no point, a FACTOR that the
+    # space does not have, or no COUNT at all
     system = ("--space", "1x1", "--deg", "3,3", "--scheme", "2", f"--on-divisor={spec}")
     for argv in (("dim", *system), ("castelnuovo", *system, "--divisor", "0:0")):
         code, out, err = run_cli(capsys, *argv)
