@@ -16,9 +16,9 @@ Both drivers ask independent questions, one system each, and so does
 CPU the process may run on: in this process and in one forked child per
 further CPU.  Every process pulls its next question from one shared queue
 when it finishes one, so the load balances by what the questions actually
-cost; a cost model ordered by ideal_basis_size ** 3 gave one process 43 ms and
-the other 100 ms of verify_ah(5, 6).  The queue is a pipe of fixed-size
-records, one question index each.  The parent writes them all, costliest
+cost; a cost model ordered by ideal_basis_size ** 3 gave one process 43 ms
+and the other 100 ms of verify_ah(5, 6).  The queue is a pipe of
+fixed-size records, one question index each.  The parent writes them all, costliest
 first, in one write of at most PIPE_BUF bytes before it forks, which
 cannot block on a new pipe, and closes the write end, so a worker that
 reads end of file knows the queue is empty.  No record is split or read

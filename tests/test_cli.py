@@ -529,7 +529,8 @@ def test_on_divisor_flags_place_the_next_points_in_turn(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "spec", ["0:0:5", f"0:0:{10**15}", "0:0:0", "0:0:-3", "5:0:1", "-1:0:1", "0:0"]
+    "spec",
+    ["0:0:5", f"0:0:{10**15}", "0:0:0", "0:0:-3", "5:0:1", "-1:0:1", "0:0"],
 )
 def test_on_divisor_overflow_is_usage_error(capsys, spec):
     # more strata than points, also a COUNT whose strata could not even be

@@ -24,7 +24,13 @@ from fatpoints.engine import (
     draw_scheme_points,
     rank_fp,
 )
-from fatpoints.schemes import FatPoint, FatPointScheme, PointSpec, make_scheme, virtual_dim
+from fatpoints.schemes import (
+    FatPoint,
+    FatPointScheme,
+    PointSpec,
+    make_scheme,
+    virtual_dim,
+)
 from fatpoints.spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
 
 
@@ -73,17 +79,6 @@ def test_residue_trace_errors():
         trace(sp, dg, make_scheme("2"), div0)  # P^1 factor would collapse
 
 
-def _split_vdims(sp, dg, scheme, div):
-    """The virtual dimensions of the system, its residue and its trace."""
-    rdeg, rscheme = residue(sp, dg, scheme, div)
-    tspace, tdeg, tscheme = trace(sp, dg, scheme, div)
-    return (
-        virtual_dim(sp, dg, scheme),
-        virtual_dim(sp, rdeg, rscheme),
-        virtual_dim(tspace, tdeg, tscheme),
-    )
-
-
 def test_trace_maps_strata_and_contained_subvarieties():
     # on P^1 x P^2 along {y_0 = 0}: factor 1 loses y_0 and y_2 becomes y_1
     sp, dg, div = MultiProjectiveSpace((1, 2)), Multidegree((2, 3)), DivisorSpec(1, 0)
@@ -94,7 +89,8 @@ def test_trace_maps_strata_and_contained_subvarieties():
     pinned = PointSpec(None, ((1, 2), (0, 3, 5)))
     points = [FatPoint(2, PointSpec(sub(0))), FatPoint(1, PointSpec(sub(0, 2))),
               FatPoint(1, pinned)]
-    tspace, _, tscheme = trace(sp, dg, FatPointScheme(points, contained=[sub(0, 2)]), div)
+    scheme = FatPointScheme(points, contained=[sub(0, 2)])
+    tspace, _, tscheme = trace(sp, dg, scheme, div)
     assert tspace.factor_dims == (1, 1)
     # a point only on the divisor becomes a general point of it
     assert [pt.spec.stratum for pt in tscheme.points] == [None, sub(1), None]
@@ -102,6 +98,17 @@ def test_trace_maps_strata_and_contained_subvarieties():
     assert tscheme.contained == [sub(1)]
     with pytest.raises(ValueError, match="collapses onto the divisor"):
         trace(sp, dg, FatPointScheme(points, contained=[sub(0)]), div)
+
+
+def _split_vdims(sp, dg, scheme, div):
+    """The virtual dimensions of the system, its residue and its trace."""
+    rdeg, rscheme = residue(sp, dg, scheme, div)
+    tspace, tdeg, tscheme = trace(sp, dg, scheme, div)
+    return (
+        virtual_dim(sp, dg, scheme),
+        virtual_dim(sp, rdeg, rscheme),
+        virtual_dim(tspace, tdeg, tscheme),
+    )
 
 
 def test_vdim_additivity_example():
