@@ -14,7 +14,6 @@ import argparse
 import functools
 import hashlib
 import json
-import mmap
 import os
 import sys
 from math import comb
@@ -216,12 +215,12 @@ def _cmd_verify_arith(args, config):
 
 def _cmd_star(args, config):
     # the cubics doubled along the star's binom(n+1, 2) points of the
-    # hyperplane P^(n-1), n conditions each, are the widest and tallest
-    # system: checked first, a star past the column or row limit is refused
-    # before its (n+1)^2 coordinates are drawn
+    # hyperplane P^(n-1) are the widest and tallest system: checked first, a
+    # star past the column or row limit is refused before its (n+1)^2
+    # coordinates are drawn
     if args.n >= 2:  # star_configuration refuses a smaller n
-        check_columns(MultiProjectiveSpace((args.n - 1,)), Multidegree((3,)),
-                      rows=comb(args.n + 1, 2) * args.n)
+        rows = comb(args.n + 1, 2) * conditions_of_fat_point(2, args.n - 1)
+        check_columns(MultiProjectiveSpace((args.n - 1,)), Multidegree((3,)), rows=rows)
     star = star_configuration(args.n, config.prime, config.seed)
     certs = star_nonspeciality_check(star, config.seed)
     span_ok = star_span_check(star)
@@ -272,39 +271,36 @@ def _request_key(args) -> str:
 
 def _cache_lookup(path: str, key: str):
     """The last valid record under `key` in the cache file at `path`, or None
-    for a missing or empty file or no such record.  Every record
-    _cache_append writes holds its key verbatim, so the file is mapped
-    read-only and searched for the key's bytes, and only the line around
-    each occurrence is parsed.  A damaged line (cut short, not UTF-8, not an
-    object, or without a record's fields) is skipped."""
+    for a missing file or no such record.  Every record _cache_append
+    writes holds its key verbatim, so the file is read once and its bytes
+    are searched for the key's, and only the line around each occurrence
+    is parsed.  A damaged line (cut short, not UTF-8, not an object, or
+    without a record's fields) is skipped."""
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         return None
     hit = None
     needle = key.encode()
-    with fh:
-        if os.fstat(fh.fileno()).st_size == 0:
-            return None  # mmap refuses an empty file
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-            at = mm.find(needle)
-            while at >= 0:
-                start = mm.rfind(b"\n", 0, at) + 1
-                end = mm.find(b"\n", at) + 1 or len(mm)
-                # the search goes on after this line, so no line is parsed twice
-                at = mm.find(needle, end)
-                try:
-                    rec = json.loads(mm[start:end])
-                except ValueError:
-                    continue  # a damaged line: cut short, or not UTF-8
-                # a hit must be a record as _cache_append writes it
-                if (
-                    isinstance(rec, dict) and rec.get("key") == key
-                    and isinstance(rec.get("result"), dict)
-                    and isinstance(rec.get("text"), str)
-                    and isinstance(rec.get("exit"), int)
-                ):
-                    hit = rec
+    at = data.find(needle)
+    while at >= 0:
+        start = data.rfind(b"\n", 0, at) + 1
+        end = data.find(b"\n", at) + 1 or len(data)
+        # the search goes on after this line, so no line is parsed twice
+        at = data.find(needle, end)
+        try:
+            rec = json.loads(data[start:end])
+        except ValueError:
+            continue  # a damaged line: cut short, or not UTF-8
+        # a hit must be a record as _cache_append writes it
+        if (
+            isinstance(rec, dict) and rec.get("key") == key
+            and isinstance(rec.get("result"), dict)
+            and isinstance(rec.get("text"), str)
+            and isinstance(rec.get("exit"), int)
+        ):
+            hit = rec
     return hit
 
 

@@ -223,7 +223,8 @@ def castelnuovo_bound_check(
 @dataclass
 class StarConfiguration:
     """The binom(n+1, 2) points cut on a general hyperplane by the lines
-    through pairs of n+1 general anchor points of P^n, over F_p."""
+    through pairs of n+1 general anchor points of P^n.  The anchors and the
+    hyperplane are drawn over F_p; the points are integers."""
 
     n: int
     prime: int
@@ -243,9 +244,11 @@ class StarConfiguration:
 
 
 def star_configuration(n: int, prime: int, seed: int) -> StarConfiguration:
-    """Draw anchors and hyperplane until no anchor lies on the hyperplane
-    and no star point is zero (two proportional anchors); a ValueError
-    after 64 draws."""
+    """Draw anchors and hyperplane until, over F_prime, no anchor lies on the
+    hyperplane and no star point is zero (two proportional anchors); a
+    ValueError after 64 draws.  The star points are integers, not reduced
+    mod prime: they lie on the hyperplane and on their anchors' lines over
+    the integers, so every attempt's prime reduces them to a star."""
     if n < 2:
         raise ValueError("need n >= 2")
     rng = random.Random(seed)
@@ -254,17 +257,18 @@ def star_configuration(n: int, prime: int, seed: int) -> StarConfiguration:
             tuple(rng.randrange(prime) for _ in range(n + 1)) for _ in range(n + 1)
         ]
         e = tuple(rng.randrange(prime) for _ in range(n + 1))
-        pairing = [sum(a * b for a, b in zip(e, p)) % prime for p in anchors]
+        pairing = [sum(a * b for a, b in zip(e, p)) for p in anchors]
         # the line through anchors i, j meets {e.x = 0} at
         # (e.p_j) p_i - (e.p_i) p_j
         points = {
             (i, j): tuple(
-                (pairing[j] * a - pairing[i] * b) % prime
-                for a, b in zip(anchors[i], anchors[j])
+                pairing[j] * a - pairing[i] * b for a, b in zip(anchors[i], anchors[j])
             )
             for i, j in combinations(range(n + 1), 2)
         }
-        if all(pairing) and all(any(t) for t in points.values()):
+        if all(c % prime for c in pairing) and all(
+            any(c % prime for c in t) for t in points.values()
+        ):
             return StarConfiguration(n, prime, e, anchors, points)
     raise ValueError(f"no star in P^{n} over F_{prime}: 64 degenerate draws")
 
@@ -287,7 +291,7 @@ def star_span_check(star: StarConfiguration) -> bool:
     if not all(pairing):
         return False
     for i, j in combinations(range(star.n + 1), 2):
-        p_i, p_j, t = anchors[i], anchors[j], star.points[(i, j)]
+        p_i, p_j, t = anchors[i], anchors[j], [c % p for c in star.points[(i, j)]]
         # as e.p_i != 0, p_j is proportional to p_i iff (e.p_i) p_j = (e.p_j) p_i
         if not any((pairing[i] * b - pairing[j] * a) % p for a, b in zip(p_i, p_j)):
             return False

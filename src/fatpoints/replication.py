@@ -54,6 +54,7 @@ import functools
 import os
 import threading
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import engine
 from .arith import b, ell, j, k_down, k_up, s, v
@@ -122,57 +123,21 @@ def load_bundled_registry() -> list[BaseCase]:
         "23-2x2-triple", (2, 2), (2, 3), "Regular",
         FatPointScheme(_pts((3, 1, None), (2, ell(2, 2), None))),
     )
-    for n in (2, 3):
-        add(
-            f"23-1x{n}-triple", (1, n), (2, 3), "Zero",
-            FatPointScheme(_pts((3, 1, None), (2, s(n), None))),
-        )
-    # the chained specializations of the (2,3)-on-P1xPn argument (see
-    # reconcile_specializations): the forms contain k codimension-2
-    # coordinate subvarieties, and the triple point lies on all of them
-    for n in (4, 5):
-        A = _sub(2, 1, {0, 1})
-        add(
-            f"23-1x{n}-one-stratum", (1, n), (2, 3), "Zero",
-            FatPointScheme(
-                _pts((3, 1, A), (2, s(n - 2), A), (2, 2 * n + 1, None)),
-                contained=[A],
-            ),
-        )
-    for n in (6, 7):
-        A = _sub(2, 1, {0, 1})
-        B = _sub(2, 1, {2, 3})
-        AB = _sub(2, 1, {0, 1, 2, 3})
-        add(
-            f"23-1x{n}-two-strata", (1, n), (2, 3), "Zero",
-            FatPointScheme(
-                _pts(
-                    (3, 1, AB), (2, s(n - 4), AB),
-                    (2, 2 * n - 3, A), (2, 2 * n - 3, B),
-                    (2, 4, None),
+    # the chained specializations of the (2,3)-on-P1xPn argument: step k
+    # of _strata_chain on P1xPn for n = 2k + 2 and 2k + 3, the forms
+    # containing the k strata
+    def on(meet):  # the meet of the strata {x_2i = x_2i+1 = 0}, i in meet
+        return _sub(2, 1, {x for i in meet for x in (2 * i, 2 * i + 1)}) if meet else None
+
+    for k, name in enumerate(("triple", "one-stratum", "two-strata", "three-strata")):
+        for n in (2 * k + 2, 2 * k + 3):
+            add(
+                f"23-1x{n}-{name}", (1, n), (2, 3), "Zero",
+                FatPointScheme(
+                    _pts(*((m, c, on(meet)) for m, c, meet in _strata_chain(n, k))),
+                    contained=[on((i,)) for i in range(k)],
                 ),
-                contained=[A, B],
-            ),
-        )
-    for n in (8, 9):
-        A = _sub(2, 1, {0, 1})
-        B = _sub(2, 1, {2, 3})
-        C = _sub(2, 1, {4, 5})
-        AB = _sub(2, 1, {0, 1, 2, 3})
-        AC = _sub(2, 1, {0, 1, 4, 5})
-        BC = _sub(2, 1, {2, 3, 4, 5})
-        ABC = _sub(2, 1, {0, 1, 2, 3, 4, 5})
-        add(
-            f"23-1x{n}-three-strata", (1, n), (2, 3), "Zero",
-            FatPointScheme(
-                _pts(
-                    (3, 1, ABC), (2, s(n - 6), ABC),
-                    (2, 2 * n - 7, AB), (2, 2 * n - 7, AC), (2, 2 * n - 7, BC),
-                    (2, 4, A), (2, 4, B), (2, 4, C),
-                ),
-                contained=[A, B, C],
-            ),
-        )
+            )
     add(
         "32-2x2-triple", (2, 2), (3, 2), "Regular",
         FatPointScheme(_pts((3, 1, None), (2, b(2), None))),
@@ -251,26 +216,36 @@ def load_bundled_registry() -> list[BaseCase]:
 # --- specialization-table bookkeeping ----------------------------------
 
 
+def _strata_chain(n: int, k: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Step k of the chained specializations of the (2,3) system 3,2^s(n) on
+    P1xPn, as (multiplicity, count, meet) groups in point order.  A group
+    lies on the strata {x_2i = x_2i+1 = 0} of P^n, i in its meet (none for
+    an empty meet), and the forms contain the k strata, i < k.  The triple
+    point and s(n - 2k) double points lie on all k strata, 2n + 5 - 4k
+    double points on the meet of each k - 1 of them, and 4 on the meet of
+    each k - 2, the subsets in combinations order.  Step 0 is 3,2^s(n)."""
+    every = tuple(range(k))
+    groups = [(3, 1, every), (2, s(n - 2 * k), every)]
+    for drop, count in ((1, 2 * n + 5 - 4 * k), (2, 4)):
+        if k >= drop:
+            groups += [(2, count, meet) for meet in combinations(every, k - drop)]
+    return groups
+
+
 def reconcile_specializations() -> list[str]:
     """The chained specializations of the (2,3)-on-P1xPn argument must
-    preserve the multiplicity profile (3, 2^{s(n)}) at every step.  Checks
-    the component tables of each step against the previous one and returns
-    a list of mismatch descriptions (expected empty); mismatches are
-    reported, not repaired."""
+    preserve the multiplicity profile (3, 2^{s(n)}) at every step.  Counts
+    the double points of steps k = 0..4 of _strata_chain, the rule the
+    registry's fixtures come from, for n = 10..40, and returns a list of
+    mismatch descriptions (expected empty); mismatches are reported, not
+    repaired."""
     flags = []
     for n in range(10, 41):
-        profiles = {
-            "start": s(n),
-            "one-stratum": s(n - 2) + (2 * n + 1),
-            "two-strata": s(n - 4) + 2 * (2 * n - 3) + 4,
-            "three-strata": s(n - 6) + 3 * (2 * n - 7) + 3 * 4,
-            "four-strata": s(n - 8) + 4 * (2 * n - 11) + 6 * 4,
-        }
-        ref = profiles["start"]
-        for name, doubles in profiles.items():
-            if doubles != ref:
+        for k in range(5):
+            doubles = sum(c for m, c, _ in _strata_chain(n, k) if m == 2)
+            if doubles != s(n):
                 flags.append(
-                    f"n={n}: step {name} has {doubles} double points, expected {ref}"
+                    f"n={n}, k={k}: {doubles} double points, expected {s(n)}"
                 )
     return flags
 

@@ -348,7 +348,7 @@ def test_cache_lookup_parses_only_lines_with_the_key(tmp_path):
 
 def _reference_cache_lookup(path: str, key: str):
     """`_cache_lookup` as a loop over every line of the file: the reference
-    the mapped search must agree with."""
+    the search of the file's bytes must agree with."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:

@@ -160,7 +160,8 @@ def _subset_span_check(star):
     n1 = star.n + 1
     for size in range(3, n1 + 1):
         for subset in combinations(range(n1), size):
-            rows = [star.points[(i, j)] for i, j in combinations(subset, 2)]
+            rows = [[c % star.prime for c in star.points[(i, j)]]
+                    for i, j in combinations(subset, 2)]
             if rank_fp(rows, star.prime) > size - 1:
                 return False
     return True
@@ -267,6 +268,22 @@ def test_star_check_certifies_at_the_star_prime_and_the_given_seed():
     star = star_configuration(3, ALTERNATE_PRIME, 0)
     for cert in star_nonspeciality_check(star, seed=5).values():
         assert (cert.prime, cert.seed) == (ALTERNATE_PRIME, 5)
+
+
+def test_star_certificates_describe_a_star_at_every_attempt_prime():
+    # at F_5 this star is special for quadrics and cubics, so the check
+    # certifies at the alternate prime; the points it certifies there must
+    # still be a star: on the hyperplane and on their anchors' lines mod q
+    star = star_configuration(2, 5, 2)
+    e = star.hyperplane
+    runs = {run for cert in star_nonspeciality_check(star, seed=2).values()
+            for run in cert.runs}
+    assert len({q for q, _, _ in runs}) == 2
+    for q, _, _ in runs:
+        for (i, j), t in star.points.items():
+            t = [c % q for c in t]
+            assert sum(a * b for a, b in zip(e, t)) % q == 0, (q, i, j)
+            assert rank_fp([star.anchors[i], star.anchors[j], t], q) == 2, (q, i, j)
 
 
 def test_collision_conditions_count():

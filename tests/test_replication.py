@@ -78,6 +78,24 @@ def test_specialization_tables_reconcile():
     assert reconcile_specializations() == []
 
 
+def test_specialization_table_flags_a_wrong_step(monkeypatch):
+    # the table counts the rule the fixtures come from: one double point
+    # dropped from one step is flagged, with its n and k
+    chain = replication._strata_chain
+
+    def short(n, k):
+        groups = chain(n, k)
+        if (n, k) == (17, 2):
+            m, c, meet = groups[-1]
+            groups[-1] = (m, c - 1, meet)
+        return groups
+
+    monkeypatch.setattr(replication, "_strata_chain", short)
+    flags = reconcile_specializations()
+    assert len(flags) == 1 and flags[0].startswith("n=17, k=2: "), flags
+    assert run_basecases(filter="33-1x1-triple")["table_flags"] == flags
+
+
 def test_run_basecases_all_pass():
     report = run_basecases()
     assert report["passed"]
