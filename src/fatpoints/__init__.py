@@ -52,7 +52,6 @@ from .engine import (
     build_matrix,
     dimension,
     dimensions,
-    exact_dimension,
     rank_fp,
     rank_profile,
 )

@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-from math import comb
 
 from . import __version__, arith
 from .degeneration import (
@@ -214,13 +213,7 @@ def _cmd_verify_arith(args, config):
 
 
 def _cmd_star(args, config):
-    # the cubics doubled along the star's binom(n+1, 2) points of the
-    # hyperplane P^(n-1) are the widest and tallest system: checked first, a
-    # star past the column or row limit is refused before its (n+1)^2
-    # coordinates are drawn
-    if args.n >= 2:  # star_configuration refuses a smaller n
-        rows = comb(args.n + 1, 2) * conditions_of_fat_point(2, args.n - 1)
-        check_columns(MultiProjectiveSpace((args.n - 1,)), Multidegree((3,)), rows=rows)
+    # star_configuration refuses an oversized star before it draws one
     star = star_configuration(args.n, config.prime, config.seed)
     certs = star_nonspeciality_check(star, config.seed)
     span_ok = star_span_check(star)

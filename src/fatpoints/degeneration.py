@@ -18,6 +18,7 @@ from .engine import (
     DEFAULT_PRIME,
     Certificate,
     PrimeFieldConfig,
+    check_columns,
     dimension,
     draw_scheme_points,
     rank_fp,
@@ -28,6 +29,7 @@ from .schemes import (
     JetCondition,
     PointSpec,
     conditions_of_fat_point,
+    make_scheme,
 )
 from .spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
 
@@ -248,9 +250,17 @@ def star_configuration(n: int, prime: int, seed: int) -> StarConfiguration:
     hyperplane and no star point is zero (two proportional anchors); a
     ValueError after 64 draws.  The star points are integers, not reduced
     mod prime: they lie on the hyperplane and on their anchors' lines over
-    the integers, so every attempt's prime reduces them to a star."""
+    the integers, so every attempt's prime reduces them to a star.
+
+    The cubics doubled along the binom(n+1, 2) star points of the hyperplane
+    P^(n-1) are the widest and tallest system star_nonspeciality_check
+    builds.  Past the engine's column or row limit (check_columns) the star
+    is refused with ValueError before any of its (n+1)^2 coordinates is
+    drawn."""
     if n < 2:
         raise ValueError("need n >= 2")
+    rows = comb(n + 1, 2) * conditions_of_fat_point(2, n - 1)
+    check_columns(MultiProjectiveSpace((n - 1,)), Multidegree((3,)), rows=rows)
     rng = random.Random(seed)
     for _ in range(64):
         anchors = [
@@ -342,7 +352,6 @@ def collision_scheme(
     are pairwise differences there too: d_ij + d_jk = d_ik mod every prime.
     """
     N = space.ambient_dim()
-    points = [FatPoint(3)] + [FatPoint(2) for _ in range(extra_doubles)]
     jets: list[JetCondition] = []
     rng = random.Random(seed ^ 0x5F3759DF)
     vecs = [
@@ -351,7 +360,7 @@ def collision_scheme(
     for i, j in combinations(range(N + 1), 2):
         d = tuple(a - b for a, b in zip(vecs[i], vecs[j]))
         jets.append(JetCondition(0, 3, d))
-    return FatPointScheme(points, jets)
+    return FatPointScheme(make_scheme([(3, 1), (2, extra_doubles)]).points, jets)
 
 
 def collision_conditions(N: int) -> int:

@@ -870,8 +870,3 @@ def exact_rank_oracle(
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         r += 1
     return r
-
-
-def exact_dimension(space, degree, scheme) -> int:
-    ncols = ideal_basis_size(space, degree, scheme.contained)
-    return ncols - exact_rank_oracle(space, degree, scheme)

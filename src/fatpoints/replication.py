@@ -41,8 +41,8 @@ child leaves by os._exit after writing its answers, so it never returns
 into its caller's stack, runs no exit handler and flushes no buffer it
 inherited.  Python 3.12 and later warn (DeprecationWarning) on fork() in
 a process with other live threads; the single-thread condition should
-keep that warning away.  CI runs the tests on Python 3.10, 3.11 and 3.12,
-and a warning there would show in pytest's warnings summary.
+keep that warning away.  CI runs the tests on Python 3.10 to 3.14, and
+a warning there would show in pytest's warnings summary.
 
 The OpenBLAS thread control is looked up after numpy is loaded: the package
 binds numpy lazily, and its OpenBLAS is mapped only once numpy executes, so
@@ -59,7 +59,7 @@ from itertools import combinations
 from . import engine
 from .arith import b, ell, j, k_down, k_up, s, v
 from .engine import PrimeFieldConfig, dimension, status_matches
-from .schemes import FatPoint, FatPointScheme, PointSpec
+from .schemes import FatPointScheme, make_scheme
 from .secant import (
     DefectivityReport,
     critical_r,
@@ -90,39 +90,22 @@ def _sub(nfac: int, factor: int, idxs) -> CoordinateSubvariety:
     )
 
 
-def _pts(*groups) -> list[FatPoint]:
-    """groups = (mult, count, stratum-or-None), concatenated in order."""
-    out = []
-    for mult, count, stratum in groups:
-        spec = PointSpec(stratum=stratum) if stratum is not None else PointSpec()
-        out.extend(FatPoint(mult, spec) for _ in range(count))
-    return out
-
-
 def load_bundled_registry() -> list[BaseCase]:
     """The fixture registry, built in code: each fixture is defined here and
-    nowhere else."""
+    nowhere else, its points as make_scheme groups."""
     cases: list[BaseCase] = []
 
-    def add(cid, dims, degs, expected, scheme):
+    def add(cid, dims, degs, expected, groups, contained=()):
         space = MultiProjectiveSpace(dims)
+        scheme = FatPointScheme(make_scheme(groups).points, contained=list(contained))
         scheme.check(space)
         cases.append(BaseCase(cid, space, Multidegree(degs), expected, scheme))
 
     # --- bidegree (3,3) family and its (2,3)/(3,2)/(3,1) reductions ----
 
-    add(
-        "33-1x1-triple", (1, 1), (3, 3), "Regular",
-        FatPointScheme(_pts((3, 1, None), (2, k_up(3, 3, 1, 1), None))),
-    )
-    add(
-        "33-2x1-quadruple", (2, 1), (3, 3), "Zero",
-        FatPointScheme(_pts((4, 1, None), (2, k_down(3, 3, 2, 1), None))),
-    )
-    add(
-        "23-2x2-triple", (2, 2), (2, 3), "Regular",
-        FatPointScheme(_pts((3, 1, None), (2, ell(2, 2), None))),
-    )
+    add("33-1x1-triple", (1, 1), (3, 3), "Regular", [(3, 1), (2, k_up(3, 3, 1, 1))])
+    add("33-2x1-quadruple", (2, 1), (3, 3), "Zero", [(4, 1), (2, k_down(3, 3, 2, 1))])
+    add("23-2x2-triple", (2, 2), (2, 3), "Regular", [(3, 1), (2, ell(2, 2))])
     # the chained specializations of the (2,3)-on-P1xPn argument: step k
     # of _strata_chain on P1xPn for n = 2k + 2 and 2k + 3, the forms
     # containing the k strata
@@ -133,26 +116,16 @@ def load_bundled_registry() -> list[BaseCase]:
         for n in (2 * k + 2, 2 * k + 3):
             add(
                 f"23-1x{n}-{name}", (1, n), (2, 3), "Zero",
-                FatPointScheme(
-                    _pts(*((m, c, on(meet)) for m, c, meet in _strata_chain(n, k))),
-                    contained=[on((i,)) for i in range(k)],
-                ),
+                [(m, c, on(meet)) for m, c, meet in _strata_chain(n, k)],
+                [on((i,)) for i in range(k)],
             )
-    add(
-        "32-2x2-triple", (2, 2), (3, 2), "Regular",
-        FatPointScheme(_pts((3, 1, None), (2, b(2), None))),
-    )
+    add("32-2x2-triple", (2, 2), (3, 2), "Regular", [(3, 1), (2, b(2))])
     # residual schemes of the (3,2)-on-P2xPn step
     for n in (3, 4, 5):
         D = _sub(2, 1, {0})
         add(
             f"31-2x{n}-divisor", (2, n), (3, 1), "Zero",
-            FatPointScheme(
-                _pts(
-                    (2, 1, D), (2, b(n) - b(n - 1), None),
-                    (1, b(n - 1), D), (1, v(n), None),
-                )
-            ),
+            [(2, 1, D), (2, b(n) - b(n - 1)), (1, b(n - 1), D), (1, v(n))],
         )
     # the residual scheme specialized onto a codimension-3 subvariety
     for n in (6, 7, 8):
@@ -161,54 +134,32 @@ def load_bundled_registry() -> list[BaseCase]:
         AD = _sub(2, 1, {0, 1, 2, 3})
         add(
             f"31-2x{n}-stratum", (2, n), (3, 1), "Zero",
-            FatPointScheme(
-                _pts(
-                    (2, b(n - 3) - b(n - 4), A),
-                    (2, 1, AD), (1, b(n - 4), AD),
-                    (1, b(n - 1) - b(n - 4), D),
-                    (1, v(n - 3), A),
-                    (1, v(n) - v(n - 3), None),
-                ),
-                contained=[A],
-            ),
+            [
+                (2, b(n - 3) - b(n - 4), A),
+                (2, 1, AD), (1, b(n - 4), AD),
+                (1, b(n - 1) - b(n - 4), D),
+                (1, v(n - 3), A),
+                (1, v(n) - v(n - 3)),
+            ],
+            [A],
         )
 
     # --- bidegree (3,4) family ----------------------------------------
 
-    add(
-        "34-1x1-triple", (1, 1), (3, 4), "Regular",
-        FatPointScheme(_pts((3, 1, None), (2, k_up(3, 4, 1, 1), None))),
-    )
-    add(
-        "34-1x2-quadruple", (1, 2), (3, 4), "Zero",
-        FatPointScheme(_pts((4, 1, None), (2, k_down(3, 4, 1, 2), None))),
-    )
+    add("34-1x1-triple", (1, 1), (3, 4), "Regular", [(3, 1), (2, k_up(3, 4, 1, 1))])
+    add("34-1x2-quadruple", (1, 2), (3, 4), "Zero", [(4, 1), (2, k_down(3, 4, 1, 2))])
     add(
         "33-1x3-triple", (1, 3), (3, 3), "Regular",
-        FatPointScheme(
-            _pts((3, 1, None), (2, k_down(3, 4, 1, 3) - k_down(3, 4, 1, 2), None))
-        ),
+        [(3, 1), (2, k_down(3, 4, 1, 3) - k_down(3, 4, 1, 2))],
     )
-    add(
-        "24-2x2-triple", (2, 2), (2, 4), "Regular",
-        FatPointScheme(_pts((3, 1, None), (2, j(2), None))),
-    )
+    add("24-2x2-triple", (2, 2), (2, 4), "Regular", [(3, 1), (2, j(2))])
 
     # --- bidegree (4,4) family ----------------------------------------
 
-    add(
-        "44-1x1-triple", (1, 1), (4, 4), "Regular",
-        FatPointScheme(_pts((3, 1, None), (2, k_up(4, 4, 1, 1), None))),
-    )
-    add(
-        "44-2x2-quadruple", (2, 2), (4, 4), "Zero",
-        FatPointScheme(_pts((4, 1, None), (2, k_down(4, 4, 2, 2), None))),
-    )
+    add("44-1x1-triple", (1, 1), (4, 4), "Regular", [(3, 1), (2, k_up(4, 4, 1, 1))])
+    add("44-2x2-quadruple", (2, 2), (4, 4), "Zero", [(4, 1), (2, k_down(4, 4, 2, 2))])
     for n, cnt in ((2, k_down(4, 4, 1, 2)), (3, k_down(4, 4, 1, 3))):
-        add(
-            f"44-1x{n}-quadruple", (1, n), (4, 4), "Zero",
-            FatPointScheme(_pts((4, 1, None), (2, cnt, None))),
-        )
+        add(f"44-1x{n}-quadruple", (1, n), (4, 4), "Zero", [(4, 1), (2, cnt)])
 
     return cases
 

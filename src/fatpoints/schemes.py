@@ -7,7 +7,8 @@ tangent direction, must vanish), and an optional list of coordinate
 subvarieties the forms must contain.
 
 Points are either "general" (drawn at evaluation time, optionally confined
-to a coordinate stratum) or pinned to explicit coordinates.
+to a coordinate stratum) or pinned to explicit coordinates.  make_scheme
+builds a scheme of unpinned points from its groups.
 """
 from __future__ import annotations
 
@@ -170,14 +171,20 @@ def parse_scheme_type(text: str) -> list[tuple[int, int]]:
     return out
 
 
-def make_scheme(profile: str | list[tuple[int, int]]) -> FatPointScheme:
-    """Build a scheme of general points from a multiplicity profile, in the
-    written order.  degeneration.specialize_onto puts points on a divisor."""
+def make_scheme(profile: str | list[tuple]) -> FatPointScheme:
+    """Build a scheme of unpinned points, group by group in the written
+    order.  A group is (multiplicity, count), general points, or
+    (multiplicity, count, stratum), points confined to a coordinate stratum
+    (None for general ones); a string is a multiplicity profile like
+    '3,2^9' (parse_scheme_type).  A group is listed as `count` references to
+    one frozen FatPoint.  degeneration.specialize_onto puts points on a
+    divisor."""
     if isinstance(profile, str):
         profile = parse_scheme_type(profile)
     points: list[FatPoint] = []
-    for mult, count in profile:
-        points.extend(FatPoint(mult) for _ in range(count))
+    for mult, count, *stratum in profile:
+        (stratum,) = stratum or (None,)
+        points += [FatPoint(mult, PointSpec(stratum))] * count
     return FatPointScheme(points)
 
 

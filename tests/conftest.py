@@ -78,3 +78,19 @@ def per_case_failures():
         return [args for args in cases if not predicate(*args)]
 
     return failures
+
+
+@pytest.fixture
+def no_star_draw(monkeypatch):
+    """degeneration's random.Random with every draw failing, so a test can
+    tell that a star was refused before any of its coordinates was drawn."""
+    from fatpoints import degeneration
+
+    class Undrawn(degeneration.random.Random):
+        def random(self):
+            raise AssertionError("the star was drawn")
+
+        def getrandbits(self, k):
+            raise AssertionError("the star was drawn")
+
+    monkeypatch.setattr(degeneration.random, "Random", Undrawn)

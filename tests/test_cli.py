@@ -575,14 +575,10 @@ def test_star_past_the_column_limit_is_refused_at_once(argv, limit):
 
 
 @pytest.mark.parametrize("n", [26, 27, 28])
-def test_star_past_the_row_limit_is_refused_before_it_is_drawn(capsys, monkeypatch, n):
+def test_star_past_the_row_limit_is_refused_before_it_is_drawn(capsys, no_star_draw, n):
     # the doubled cubics on P^(n-1) fit the column limit up to n = 28 but
-    # have binom(n+1, 2) * n > 8192 rows from n = 26 on: refused before the
-    # star is drawn or any of its systems is certified
-    def drawn(*args, **kwargs):
-        raise AssertionError("the star was drawn")
-
-    monkeypatch.setattr(cli, "star_configuration", drawn)
+    # have binom(n+1, 2) * n > 8192 rows from n = 26 on: refused before any
+    # coordinate of the star is drawn or any of its systems is certified
     code, out, err = run_cli(capsys, "star", "--n", str(n))
     assert code == 64 and out == ""
     assert "8192 row limit" in err

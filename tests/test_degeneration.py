@@ -232,6 +232,17 @@ def test_star_draw_gives_up_with_a_value_error():
         star_configuration(20, 2, 0)
 
 
+@pytest.mark.parametrize("n, limit", [
+    (26, "8192 row limit"), (27, "8192 row limit"), (28, "8192 row limit"),
+    (29, "4096 column limit"), (3000, "4096 column limit"),
+])
+def test_oversized_star_is_refused_before_it_is_drawn(no_star_draw, n, limit):
+    # the doubled cubics on P^(n-1) have binom(n+2, 3) columns, past 4096
+    # from n = 29 on, and binom(n+1, 2) * n rows, past 8192 from n = 26 on
+    with pytest.raises(ValueError, match=limit):
+        star_configuration(n, DEFAULT_PRIME, 0)
+
+
 def test_collision_directions_are_pairwise_differences_at_every_prime():
     # d_ij + d_jk = d_ik for every triple, at each attempt's prime
     sp = MultiProjectiveSpace((2, 2))

@@ -28,7 +28,6 @@ from fatpoints.engine import (
     dimension,
     dimensions,
     draw_scheme_points,
-    exact_dimension,
     exact_rank_oracle,
     rank_fp,
     rank_profile,
@@ -50,6 +49,7 @@ from fatpoints.spaces import (
     MultiProjectiveSpace,
     compositions,
     ideal_basis,
+    ideal_basis_size,
 )
 
 
@@ -831,4 +831,5 @@ def test_exact_dimension_matches_engine():
     )
     dg = Multidegree((3, 3))
     mat = build_matrix(sp, dg, scheme, prime=DEFAULT_PRIME, seed=0)
-    assert 16 - rank_fp(mat.array, DEFAULT_PRIME) == exact_dimension(sp, dg, scheme)
+    exact = ideal_basis_size(sp, dg, scheme.contained) - exact_rank_oracle(sp, dg, scheme)
+    assert 16 - rank_fp(mat.array, DEFAULT_PRIME) == exact

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fatpoints.engine import dimension
+from fatpoints import engine
+from fatpoints.engine import PrimeFieldConfig, dimension
 from fatpoints.schemes import (
     FatPoint,
     FatPointScheme,
@@ -37,6 +40,53 @@ def test_parse_scheme_type():
 def test_type_label_roundtrip():
     scheme = make_scheme("4,2^6,1^2")
     assert scheme.type_label() == "4,2^6,1^2"
+
+
+@st.composite
+def _groups(draw):
+    """A space of 1-3 factors, a degree, and make_scheme groups: multiplicity
+    1-4, count 0-6, and a stratum that is None (written or left out) or a
+    coordinate subvariety of the space."""
+    nf = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(1, 2)) for _ in range(nf))
+    degs = tuple(draw(st.integers(1, 3 if nf < 3 else 2)) for _ in dims)
+
+    def stratum():
+        if draw(st.booleans()):
+            return None
+        van = [draw(st.sets(st.integers(0, n), max_size=n)) for n in dims]
+        if not any(van):
+            van[draw(st.integers(0, nf - 1))] = {0}
+        return CoordinateSubvariety(tuple(map(frozenset, van)))
+
+    groups = []
+    for _ in range(draw(st.integers(0, 3))):
+        mult, count, s = draw(st.integers(1, 4)), draw(st.integers(0, 6)), stratum()
+        written = s is not None or draw(st.booleans())
+        groups.append((mult, count, s) if written else (mult, count))
+    return MultiProjectiveSpace(dims), Multidegree(degs), groups
+
+
+@settings(max_examples=100, deadline=None)
+@given(_groups())
+def test_make_scheme_groups_match_hand_listed_points(system):
+    space, degree, groups = system
+    by_hand = FatPointScheme([
+        FatPoint(m, PointSpec(rest[0] if rest else None))
+        for m, count, *rest in groups
+        for _ in range(count)
+    ])
+    scheme = make_scheme(groups)
+    assert scheme.points == by_hand.points
+    assert scheme.type_label() == by_hand.type_label()
+    N = space.ambient_dim()
+    assert scheme.conditions(N) == by_hand.conditions(N)
+    for seed in (0, 1):
+        config = PrimeFieldConfig(seed=seed)
+        engine._profiles.clear()
+        got = dimension(space, degree, scheme, config).to_json()
+        engine._profiles.clear()
+        assert got == dimension(space, degree, by_hand, config).to_json(), seed
 
 
 def test_virtual_dim_examples():
