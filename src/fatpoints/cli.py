@@ -6,18 +6,20 @@ certification: 0 = certified (Regular/Zero, or a passing verification),
 failure, 64 = usage error.
 
 With --cache PATH, requests are keyed by a content hash and answered from
-an append-only JSONL file when already computed.
+an append-only JSONL file when already computed.  hashlib is bound lazily
+(fatpoints._lazy_import), so OpenSSL's libcrypto is mapped at the first
+request key, which only a --cache request makes: an uncached request loads
+no OpenSSL.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
 
-from . import __version__, arith
+from . import __version__, _lazy_import, arith
 from .degeneration import (
     DivisorSpec,
     castelnuovo_bound_check,
@@ -31,6 +33,8 @@ from .replication import run_basecases
 from .schemes import FatPointScheme, conditions_of_fat_point, make_scheme, parse_scheme_type
 from .secant import is_defective, secant_dim, theorem_hypotheses
 from .spaces import Multidegree, MultiProjectiveSpace
+
+hashlib = _lazy_import("hashlib")  # loaded at the first request key
 
 EXIT_OK = 0
 EXIT_FAIL = 1

@@ -42,24 +42,26 @@ columns and as many rows are left, a matrix is eliminated blockwise: the
 loop runs Gauss-Jordan on 32 rows spread over a panel (then on all its
 rows, if some column finds no pivot among them) for its pivots, rows that
 pivot them and the inverse of its pivot block; one gather and scatter
-moves those rows to the top, and the rows below are updated by one
-float64 (BLAS) product per chunk of 128 rows, on 16-bit limbs, so with at
-most 32 inner terms every entry is an integer below 2^53 and exact, and
-it is added into the int64 rows with an exact cast, without an int64
-copy.  Updated entries are reduced mod p only where they are read (a
-panel, the pivot rows, the rest); an entry takes at most one update per
-panel, so int64 holds them up to about 1365 panels.  The rest, and smaller
-matrices, use the loop alone, clearing only the rows below each pivot.
+moves those rows to the top, where they are solved in place to U12, and
+the rows below are updated by one float64 (BLAS) product per chunk of 128
+rows, on 16-bit limbs, so with at most 32 inner terms every entry is an
+integer below 2^53 and exact, and it is added into the int64 rows with an
+exact cast, without an int64 copy.  Updated entries are reduced mod p only
+where they are read (a panel, the pivot rows, the rest); an entry takes at
+most one update per panel, so int64 holds them up to about 1365 panels.
+The rest, and smaller matrices, use the loop alone, clearing only the rows
+below each pivot.
 
 Points are drawn in order from one seeded stream, so the rows of the first
 k points of a scheme are a row prefix of its matrix.  The row rank profile
 (the column rank profile of the transpose) gives the rank of every such
 prefix from one elimination: dimensions() certifies several point prefixes
 of one scheme with one matrix per attempt, which it builds and eliminates
-in place (_rank_profile), so an attempt holds one int64 copy of its matrix
-and one chunk.  secant.secant_dims asks it for every r of one draw of
-double points (is_defective, secant_dim and verify_ah go through it), and
-theorem_hypotheses asks it once per fat-point head.
+in place (_rank_profile), so an attempt holds one int64 copy of its
+matrix, one chunk and the limbs of one panel's U12.  secant.secant_dims
+asks it for every r of one draw of double points (is_defective, secant_dim
+and verify_ah go through it), and theorem_hypotheses asks it once per
+fat-point head.
 
 A process remembers the row rank profiles of the last _MEMO_SIZE (64)
 matrices dimensions() eliminated, oldest out first, keyed on everything
@@ -506,13 +508,17 @@ def _rank_profile(A: np.ndarray, p: int) -> list[int]:
 
     Each chunk's float64 product is added straight into its int64 rows: its
     entries are integers below 3 * 2^51 (_limb_product), so the cast is
-    exact, and only the product, one chunk, is held beside A.  An entry is
-    reduced mod p only where it is read: as a panel column, in a pivot row
-    or in the rest that _echelon takes.  Until then it takes at most one
-    update per panel with a pivot, min(m, n // _PANEL) of them, so it stays
-    below p + min(m, n // _PANEL) * 3 * 2^51; a shape for which that could
-    reach 2^63 (more than 1365 rows and panels) is refused before any
-    update."""
+    exact.  U12 is made in the pivot rows' own storage, which no later
+    panel reads: A12 is reduced there, the product of -inv and its limbs
+    is cast back into it, exactly, and reduced again.  So beside A an
+    elimination holds U12's limbs (2 * _PANEL rows of float64) and one
+    chunk's product, or while U12 is made, A12's limbs and the product of
+    the pivot rows.  An entry is reduced mod p only where it is read: as a
+    panel column, in a pivot row or in the rest that _echelon takes.  Until
+    then it takes at most one update per panel with a pivot,
+    min(m, n // _PANEL) of them, so it stays below
+    p + min(m, n // _PANEL) * 3 * 2^51; a shape for which that could reach
+    2^63 (more than 1365 rows and panels) is refused before any update."""
     m, n = A.shape
     if min(m, n // _PANEL) * 3 * 2**51 >= 2**63 - p:
         raise ValueError(f"a {m} x {n} matrix could overflow int64 in rank_profile")
@@ -530,10 +536,13 @@ def _rank_profile(A: np.ndarray, p: int) -> list[int]:
             src = rows + sorted(set(range(k)) - set(rows))
             dst = list(range(k)) + [i for i in rows if i >= k]
             A[[r + i for i in dst], c:] = A[[r + i for i in src], c:]
-            # the limbs of U12 = -inv A12 mod p; no float64 copy outlives them
-            U = _limbs(
-                _limb_product(-inv % p, _limbs(A[r : r + k, c1:] % p), p).astype(np.int64) % p
-            )
+            # U12 = -inv A12 mod p is made in the pivot rows, which no
+            # later panel reads: the product's cast into them is exact
+            U12 = A[r : r + k, c1:]
+            U12 %= p
+            np.copyto(U12, _limb_product(-inv % p, _limbs(U12), p), casting="unsafe")
+            U12 %= p
+            U = _limbs(U12)
             for s in range(r + k, m, _CHUNK):
                 # the add casts the product to int64 as it goes, exactly
                 block, X = A[s : s + _CHUNK, c1:], A[s : s + _CHUNK, J]
@@ -610,8 +619,14 @@ def _panel(P: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
 
 def _limbs(U: np.ndarray) -> np.ndarray:
     """The 16-bit limbs of U (int64 in [0, 2^31)) for _limb_product:
-    hi = U >> 16 stacked above lo = U & 0xFFFF, in float64."""
-    return np.concatenate([U >> 16, U & 0xFFFF]).astype(np.float64)
+    hi = U >> 16 stacked above lo = U & 0xFFFF, in float64.  Each limb is
+    cast into its half of the one output array as it is made, so no int64
+    limb is held beside it."""
+    k = U.shape[0]
+    L = np.empty((2 * k, U.shape[1]))
+    np.right_shift(U, 16, out=L[:k], casting="unsafe")
+    np.bitwise_and(U, 0xFFFF, out=L[k:], casting="unsafe")
+    return L
 
 
 def _limb_product(X: np.ndarray, L: np.ndarray, p: int) -> np.ndarray:
@@ -655,10 +670,10 @@ def dimensions(
     matrix once, or only the longest prefix still open, eliminates it in
     place (conditions as columns, as build_matrix lays it out), and reads
     the rank of every open prefix off its row rank profile; so one copy of
-    the matrix and one chunk (_CHUNK rows of a build batch or of a trailing
-    update's product) are alive per attempt.  Each prefix keeps its own
-    runs and stops at its own first certifying attempt.  Jet rows come last,
-    so a scheme with jets has no proper prefixes.
+    the matrix, one chunk (_CHUNK rows of a build batch or of a trailing
+    update's product) and one panel's U12 limbs are alive per attempt.  Each
+    prefix keeps its own runs and stops at its own first certifying attempt.
+    Jet rows come last, so a scheme with jets has no proper prefixes.
 
     An attempt whose matrix this process has eliminated before, among the
     last _MEMO_SIZE (64), builds nothing: it reads the remembered row rank

@@ -187,6 +187,19 @@ def test_no_request_key_is_made_without_a_cache(monkeypatch, capsys):
     assert code == 0 and "Regular" in out
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["dim", "--space", "2x2", "--deg", "2,2", "--scheme", "2^5", "--json"],
+     "f9189b2082d17cbf4872f4c364b9f4406ecdf600dc427c563d5e023d4be81081"),
+    (["secant", "--space", "2", "--deg", "4", "--r", "5"],
+     "683c688699c36990ecbdbd0a5f64c1efca42b52502cbe6c9c0db315fbc2c81ac"),
+])
+def test_request_keys_are_those_version_0_1_2_wrote(tmp_path, argv, key):
+    # the SHA-256 of the request, so records already written keep answering
+    # however hashlib is bound; the cache path is not part of the key
+    args = cli.build_parser().parse_args([*argv, "--cache", str(tmp_path / "c.jsonl")])
+    assert __version__ == "0.1.2" and cli._request_key(args) == key
+
+
 def test_cache_record_of_another_version_is_a_miss(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache.jsonl"
     args = ("dim", "--space", "1x1", "--deg", "3,3", "--scheme", "3,2^3",

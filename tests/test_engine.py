@@ -22,6 +22,7 @@ from fatpoints.engine import (
     _PANEL,
     _echelon,
     _is_prime,
+    _limbs,
     _panel,
     _rank_profile,
     build_matrix,
@@ -351,6 +352,22 @@ def test_an_attempt_holds_one_copy_and_one_chunk():
     nbytes = report.high.rows * report.high.cols * 8
     assert nbytes >= engine._MAPPED_BYTES
     assert peak < 0.3 * nbytes, peak / nbytes
+
+
+def test_limbs_are_cast_into_their_one_output():
+    # U12 of the P^4 x P^4 rung's first panel: each limb goes straight into
+    # its half of the float64 output, so no int64 limb is held beside it
+    U = np.random.default_rng(0).integers(0, 2**31, (_PANEL, 4900), dtype=np.int64)
+    _limbs(U)
+    tracemalloc.start()
+    try:
+        L = _limbs(U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(L, np.concatenate([U >> 16, U & 0xFFFF]).astype(np.float64))
+    assert L.dtype == np.float64
+    assert peak < 1.25 * L.nbytes, peak / L.nbytes
 
 
 def test_a_build_holds_its_matrix_and_small_tables():

@@ -1,10 +1,12 @@
-"""The start-up contract: numpy loads at the first matrix, not with the package.
+"""The start-up contract: numpy loads at the first matrix, not with the package,
+and OpenSSL (hashlib's _hashlib) at the first cache key.
 
 Each test runs a fresh interpreter (sys.executable), because the test process
 has numpy loaded already.  "Loads no numpy" means that no numpy.* submodule
 is in sys.modules when the child ends: the package registers numpy there at
 import, unexecuted, and numpy's first attribute access executes it.
 """
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,15 +21,16 @@ from fatpoints.cli import main
 SRC = str(Path(__file__).parents[1] / "src")
 
 # runs its arguments through the CLI's main, prints the reply to stdout, and
-# ends with one JSON line on stderr: the exit code and the numpy submodules
-# that were loaded
+# ends with one JSON line on stderr: the exit code, the numpy submodules that
+# were loaded and whether OpenSSL was
 CLI_PROBE = """
 import json, sys
 from fatpoints.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
 numpy = sorted(m for m in sys.modules if m.startswith("numpy."))
-print(json.dumps({"exit": code, "numpy": numpy}), file=sys.stderr)
+openssl = "_hashlib" in sys.modules
+print(json.dumps({"exit": code, "numpy": numpy, "openssl": openssl}), file=sys.stderr)
 """
 
 DIM = ["dim", "--space", "2x2", "--deg", "2,2", "--scheme", "2^5", "--json"]
@@ -44,11 +47,16 @@ def _fresh(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
     return proc
 
 
+def _probe(*argv: str, cwd=None) -> tuple[str, dict]:
+    """The stdout and the probe's line of one fresh CLI run."""
+    proc = _fresh(CLI_PROBE, *argv, cwd=cwd)
+    return proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+
 def _cli(*argv: str, cwd=None) -> tuple[int, str, list[str]]:
     """(exit code, stdout, loaded numpy submodules) of one fresh CLI run."""
-    proc = _fresh(CLI_PROBE, *argv, cwd=cwd)
-    probe = json.loads(proc.stderr.splitlines()[-1])
-    return probe["exit"], proc.stdout, probe["numpy"]
+    out, probe = _probe(*argv, cwd=cwd)
+    return probe["exit"], out, probe["numpy"]
 
 
 def test_the_lazy_binding_of_a_loaded_or_missing_module():
@@ -85,6 +93,21 @@ def test_a_fresh_miss_loads_numpy_and_answers_as_in_process(capsys):
     assert code == 0 and "numpy._core" in loaded
     assert main(DIM) == 0
     assert reply == capsys.readouterr().out
+
+
+def test_only_a_cached_request_loads_openssl(tmp_path):
+    # the request key is the CLI's one use of hashlib, and only --cache makes
+    # one; where hashlib has no OpenSSL, _hashlib is never loaded
+    reply, probe = _probe(*DIM)
+    assert probe["exit"] == 0 and probe["openssl"] is False
+    argv = [*DIM, "--cache", str(tmp_path / "c.jsonl")]
+    openssl = importlib.util.find_spec("_hashlib") is not None
+    miss, probe = _probe(*argv)
+    assert probe["exit"] == 0 and probe["openssl"] is openssl
+    assert miss == reply
+    hit, probe = _probe(*argv)
+    assert probe["exit"] == 0 and probe["openssl"] is openssl
+    assert json.loads(hit) == dict(json.loads(reply), cached=True)
 
 
 @pytest.mark.skipif(replication._allowed_cpus() < 2, reason="fewer than 2 CPUs allowed")
