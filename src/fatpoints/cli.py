@@ -6,10 +6,11 @@ certification: 0 = certified (Regular/Zero, or a passing verification),
 failure, 64 = usage error.
 
 With --cache PATH, requests are keyed by a content hash and answered from
-an append-only JSONL file when already computed.  hashlib is bound lazily
-(fatpoints._lazy_import), so OpenSSL's libcrypto is mapped at the first
-request key, which only a --cache request makes: an uncached request loads
-no OpenSSL.
+an append-only JSONL file when already computed.  The key is CPython's own
+SHA-256 (_sha2, or _sha256 before Python 3.12), so no request loads
+OpenSSL's libcrypto; hashlib serves only where neither module is built.  A
+lookup reads the file from its end, one block at a time, so it holds one
+block of the file, and a recent record answers after the first read.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 
-from . import __version__, _lazy_import, arith
+from . import __version__, arith
 from .degeneration import (
     DivisorSpec,
     castelnuovo_bound_check,
@@ -33,8 +34,6 @@ from .replication import run_basecases
 from .schemes import FatPointScheme, conditions_of_fat_point, make_scheme, parse_scheme_type
 from .secant import is_defective, secant_dim, theorem_hypotheses
 from .spaces import Multidegree, MultiProjectiveSpace
-
-hashlib = _lazy_import("hashlib")  # loaded at the first request key
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -256,6 +255,22 @@ def _cmd_castelnuovo(args, config):
 # --- cache ---------------------------------------------------------------
 
 
+@functools.cache
+def _sha256():
+    """CPython's own SHA-256 constructor, bound at the first request key.
+    hashlib would map OpenSSL's libcrypto (about 3.5 MB of RSS) to hash a
+    few hundred bytes, so it serves only where neither module is built, as
+    random.py does for its SHA-512.  All three give the same digest."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def _request_key(args) -> str:
     payload = {
         k: v for k, v in vars(args).items() if k not in ("handler", "json", "cache")
@@ -263,42 +278,74 @@ def _request_key(args) -> str:
     # the version keeps records of another engine version from being replayed
     payload["version"] = __version__
     blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return _sha256()(blob).hexdigest()
+
+
+_BLOCK = 1 << 20  # the bytes of the cache file a lookup reads at a time
+
+
+def _cache_record(line, key: str):
+    """The record that `line` holds under `key`, or None for a damaged line:
+    cut short, not UTF-8, not an object, or without a record's fields."""
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        return None
+    # a hit must be a record as _cache_append writes it
+    if (
+        isinstance(rec, dict) and rec.get("key") == key
+        and isinstance(rec.get("result"), dict)
+        and isinstance(rec.get("text"), str)
+        and isinstance(rec.get("exit"), int)
+    ):
+        return rec
+    return None
 
 
 def _cache_lookup(path: str, key: str):
     """The last valid record under `key` in the cache file at `path`, or None
-    for a missing file or no such record.  Every record _cache_append
-    writes holds its key verbatim, so the file is read once and its bytes
-    are searched for the key's, and only the line around each occurrence
-    is parsed.  A damaged line (cut short, not UTF-8, not an object, or
-    without a record's fields) is skipped."""
+    for a missing file or no such record.  The file is read from its end in
+    blocks of _BLOCK bytes, and the first valid record found answers, so a
+    lookup holds one block, a recent record costs one read and a miss reads
+    the file once.  Every record _cache_append writes holds its key verbatim,
+    so each block's bytes are searched for the key's, and only the line
+    around an occurrence is parsed.  A block's first line may begin in the
+    block before it; that part is carried into the next read, so a line cut
+    by a block boundary is parsed whole, and once.  A damaged line is
+    skipped."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError:
         return None
-    hit = None
     needle = key.encode()
-    at = data.find(needle)
-    while at >= 0:
-        start = data.rfind(b"\n", 0, at) + 1
-        end = data.find(b"\n", at) + 1 or len(data)
-        # the search goes on after this line, so no line is parsed twice
-        at = data.find(needle, end)
-        try:
-            rec = json.loads(data[start:end])
-        except ValueError:
-            continue  # a damaged line: cut short, or not UTF-8
-        # a hit must be a record as _cache_append writes it
-        if (
-            isinstance(rec, dict) and rec.get("key") == key
-            and isinstance(rec.get("result"), dict)
-            and isinstance(rec.get("text"), str)
-            and isinstance(rec.get("exit"), int)
-        ):
-            hit = rec
-    return hit
+    with fh:
+        end = fh.seek(0, os.SEEK_END)
+        carry = b""  # the file from `end` to the first newline after it
+        while end:
+            start = max(end - _BLOCK, 0)
+            fh.seek(start)
+            block = fh.read(end - start)
+            end = start
+            # the whole lines begin after the block's first newline, or at
+            # the file's start
+            head = block.find(b"\n") + 1 if start else 0
+            if start and not head:  # a line longer than the block
+                carry = block + carry
+            else:
+                last = block.rfind(b"\n") + 1
+                # the line the block's end cuts, made whole by the carry
+                line = block[last:] + carry
+                if needle in line and (rec := _cache_record(line, key)) is not None:
+                    return rec
+                at = last
+                while (at := block.rfind(needle, head, at)) >= 0:
+                    # the search goes on before this line, so no line is parsed twice
+                    at, stop = block.rfind(b"\n", 0, at) + 1, block.find(b"\n", at) + 1
+                    if (rec := _cache_record(block[at:stop], key)) is not None:
+                        return rec
+                carry = block[:head]
+            del block  # so that the next read does not hold two blocks
+    return None
 
 
 def _cache_append(path: str, rec: dict):

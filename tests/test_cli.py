@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -330,9 +332,8 @@ def test_cache_record_is_one_write(tmp_path, monkeypatch):
     assert cache.read_text().count("\n") == 2
 
 
-def test_cache_lookup_parses_only_lines_with_the_key(tmp_path):
+def _check_lookup_parses_only_lines_with_the_key(cache):
     key, other = "ab" * 32, "cd" * 32
-    cache = tmp_path / "cache.jsonl"
 
     def record(k, text, code=0):
         return {"key": k, "result": {"exit": code}, "text": text, "exit": code}
@@ -357,11 +358,29 @@ def test_cache_lookup_parses_only_lines_with_the_key(tmp_path):
     cli._cache_append(str(cache), record(key, "second", 2))
     assert cli._cache_lookup(str(cache), key) == record(key, "second", 2)
     assert cli._cache_lookup(str(cache), other) == record(other, "later")
+    # a last line that is a record under the key cut short, without a newline
+    with open(cache, "ab") as fh:
+        fh.write(json.dumps(record(key, "third"), sort_keys=True).encode()[:-2])
+    assert cli._cache_lookup(str(cache), key) == record(key, "second", 2)
+
+
+def test_cache_lookup_parses_only_lines_with_the_key(tmp_path):
+    _check_lookup_parses_only_lines_with_the_key(tmp_path / "cache.jsonl")
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_cache_lookup_parses_only_lines_with_the_key_in_small_blocks(
+        tmp_path, monkeypatch, block):
+    # blocks that cut every line and key, so carried parts make them whole
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    _check_lookup_parses_only_lines_with_the_key(tmp_path / "cache.jsonl")
 
 
 def _reference_cache_lookup(path: str, key: str):
-    """`_cache_lookup` as a loop over every line of the file: the reference
-    the search of the file's bytes must agree with."""
+    """`_cache_lookup` as a loop over every line of the file from its start,
+    where the last valid record wins: the reference that the search of the
+    file's blocks from its end, which stops at the first valid record, must
+    agree with."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -424,16 +443,92 @@ def _cache_files(draw):
     return keys, blob
 
 
-@settings(max_examples=200, deadline=None)
-@given(_cache_files())
-@example((["ab" * 32, "cd" * 32], b""))
-def test_cache_lookup_matches_the_line_loop(tmp_path_factory, case):
+def _check_lookup_matches_the_line_loop(tmp_path_factory, case):
     keys, blob = case
     cache = tmp_path_factory.getbasetemp() / "lookup.jsonl"
     cache.write_bytes(blob)
     for key in [*keys, "f" * 65]:
         assert cli._cache_lookup(str(cache), key) == _reference_cache_lookup(
             str(cache), key)
+
+
+# the last line is a record under the key, cut short and without a newline
+_CUT_LAST_LINE = (["ab" * 32], b'{"exit": 0, "key": "%s", "result": {}, "text": "t"}\n'
+                  b'{"exit": 1, "key": "%s", "resu' % (b"ab" * 32, b"ab" * 32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cache_files())
+@example((["ab" * 32, "cd" * 32], b""))
+@example(_CUT_LAST_LINE)
+def test_cache_lookup_matches_the_line_loop(tmp_path_factory, case):
+    _check_lookup_matches_the_line_loop(tmp_path_factory, case)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@settings(max_examples=100, deadline=None)
+@given(_cache_files())
+@example(_CUT_LAST_LINE)
+def test_cache_lookup_matches_the_line_loop_in_small_blocks(tmp_path_factory, block, case):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_BLOCK", block)
+        _check_lookup_matches_the_line_loop(tmp_path_factory, case)
+
+
+def _large_cache(path, count: int) -> list[dict]:
+    """A cache file of `count` records as _cache_append writes them, of
+    about 210 bytes each, in one write."""
+    records = [
+        {"key": hashlib.sha256(b"%d" % i).hexdigest(),
+         "result": {"dimension": i, "expected": i, "status": "Regular"},
+         "text": f"request {i}: Regular, dimension {i}", "exit": 0}
+        for i in range(count)
+    ]
+    path.write_bytes(b"".join(
+        (json.dumps(rec, sort_keys=True) + "\n").encode() for rec in records))
+    return records
+
+
+def test_cache_lookup_holds_one_block(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    records = _large_cache(cache, 45000)
+    size = cache.stat().st_size
+    longest = max(len(line) for line in cache.read_bytes().splitlines())
+    assert size >= 8 << 20 and size > 4 * cli._BLOCK
+    for key, want in [(records[-1]["key"], records[-1]),  # a recent hit
+                      (records[0]["key"], records[0]),  # an old hit
+                      ("f" * 64, None)]:  # a miss
+        tracemalloc.start()
+        try:
+            got = cli._cache_lookup(str(cache), key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2 * cli._BLOCK + longest, (key, peak)
+
+
+def test_the_last_record_answers_after_one_block(tmp_path, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    records = _large_cache(cache, 20000)
+    read = []
+
+    class CountingFile(io.FileIO):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            read.append(n)
+            return n
+
+    monkeypatch.setattr(cli, "open", lambda path, mode: io.BufferedReader(
+        CountingFile(path, mode)), raising=False)
+    assert cli._cache_lookup(str(cache), records[-1]["key"]) == records[-1]
+    assert sum(read) == cli._BLOCK < cache.stat().st_size
+    read.clear()
+    assert cli._cache_lookup(str(cache), "f" * 64) is None
+    # a miss reads the file once: the reader rounds the one block that is
+    # not a whole number of its buffers up by at most one buffer
+    size = cache.stat().st_size
+    assert size <= sum(read) < size + io.DEFAULT_BUFFER_SIZE
 
 
 def test_one_parser_serves_every_call(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """The start-up contract: numpy loads at the first matrix, not with the package,
-and OpenSSL (hashlib's _hashlib) at the first cache key.
+and no request loads OpenSSL (hashlib's _hashlib): a cache key is hashed with
+CPython's own SHA-256 module, _sha2 or _sha256.
 
 Each test runs a fresh interpreter (sys.executable), because the test process
 has numpy loaded already.  "Loads no numpy" means that no numpy.* submodule
@@ -95,13 +96,15 @@ def test_a_fresh_miss_loads_numpy_and_answers_as_in_process(capsys):
     assert reply == capsys.readouterr().out
 
 
-def test_only_a_cached_request_loads_openssl(tmp_path):
-    # the request key is the CLI's one use of hashlib, and only --cache makes
-    # one; where hashlib has no OpenSSL, _hashlib is never loaded
+def test_no_request_loads_openssl(tmp_path):
+    # the request key is the CLI's one hash, and only --cache makes one; it
+    # falls back to hashlib, and so to OpenSSL, only where CPython's own
+    # SHA-256 module is not built
+    builtin = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+    openssl = not builtin and importlib.util.find_spec("_hashlib") is not None
     reply, probe = _probe(*DIM)
     assert probe["exit"] == 0 and probe["openssl"] is False
     argv = [*DIM, "--cache", str(tmp_path / "c.jsonl")]
-    openssl = importlib.util.find_spec("_hashlib") is not None
     miss, probe = _probe(*argv)
     assert probe["exit"] == 0 and probe["openssl"] is openssl
     assert miss == reply
