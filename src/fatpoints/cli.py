@@ -29,9 +29,9 @@ from .degeneration import (
     star_nonspeciality_check,
     star_span_check,
 )
-from .engine import DimensionVerdict, PrimeFieldConfig, check_columns, dimension
+from .engine import DimensionVerdict, PrimeFieldConfig, dimension
 from .replication import run_basecases
-from .schemes import FatPointScheme, conditions_of_fat_point, make_scheme, parse_scheme_type
+from .schemes import FatPointScheme, make_scheme
 from .secant import is_defective, secant_dim, theorem_hypotheses
 from .spaces import Multidegree, MultiProjectiveSpace
 
@@ -76,13 +76,11 @@ def _system_from_flags(args):
     """The space, degree and scheme of --space, --deg and a --scheme type,
     where each --on-divisor FACTOR:INDEX:COUNT confines the next COUNT points
     (in scheme order) to the coordinate divisor {x_index = 0}: specialize_onto
-    on the points not yet placed.  The column and row limits are checked
-    before any point is listed."""
+    on the points not yet placed.  The scheme is held as runs, so neither
+    step lists a point; the column and row limits are checked before any
+    point is drawn (dimension, castelnuovo_bound_check)."""
     space, degree = _parse_space(args.space), _parse_deg(args.deg)
-    profile = parse_scheme_type(args.scheme)
-    rows = sum(k * conditions_of_fat_point(a, space.ambient_dim()) for a, k in profile)
-    check_columns(space, degree, rows=rows)
-    scheme, placed = make_scheme(profile), 0
+    scheme, placed = make_scheme(args.scheme), 0
     for spec in args.on_divisor or []:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -90,9 +88,9 @@ def _system_from_flags(args):
         factor, index, count = (int(t) for t in parts)
         if count < 1:
             raise ValueError(f"bad --on-divisor {spec!r}, COUNT must be >= 1")
-        rest = FatPointScheme(scheme.points[placed:])
-        rest = specialize_onto(space, rest, DivisorSpec(factor, index), count)
-        scheme.points[placed:] = rest.points
+        head, rest = scheme.split(placed)
+        rest = specialize_onto(space, FatPointScheme(rest), DivisorSpec(factor, index), count)
+        scheme = FatPointScheme(head + rest.runs)
         placed += count
     return space, degree, scheme
 

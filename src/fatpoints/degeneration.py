@@ -56,18 +56,17 @@ def point_on_divisor(pt: FatPoint, divisor: DivisorSpec) -> bool:
     return False
 
 
-def _stratum_with(
-    stratum: CoordinateSubvariety | None,
-    space: MultiProjectiveSpace,
-    divisor: DivisorSpec,
-) -> CoordinateSubvariety:
+def _onto(pt: FatPoint, space: MultiProjectiveSpace, divisor: DivisorSpec) -> FatPoint:
+    """The point confined to the divisor: its stratum gains the divisor's
+    coordinate, and pinned coordinates are dropped."""
+    stratum = pt.spec.stratum
     van = list(
         stratum.vanishing
         if stratum is not None
         else [frozenset()] * space.num_factors
     )
     van[divisor.factor] = van[divisor.factor] | {divisor.index}
-    return CoordinateSubvariety(tuple(van))
+    return FatPoint(pt.multiplicity, PointSpec(CoordinateSubvariety(tuple(van))))
 
 
 def specialize_onto(
@@ -77,24 +76,15 @@ def specialize_onto(
     count: int,
 ) -> FatPointScheme:
     """Move the first `count` points of the scheme onto the divisor; a
-    count of 0 moves none."""
+    count of 0 moves none.  At most one run is cut."""
     divisor.check(space)
-    if not 0 <= count <= len(scheme.points):
+    if not 0 <= count <= len(scheme):
         raise ValueError(
-            f"cannot move {count} of {len(scheme.points)} points onto the divisor"
+            f"cannot move {count} of {len(scheme)} points onto the divisor"
         )
-    points = []
-    for i, pt in enumerate(scheme.points):
-        if i < count:
-            points.append(
-                FatPoint(
-                    pt.multiplicity,
-                    PointSpec(_stratum_with(pt.spec.stratum, space, divisor), None),
-                )
-            )
-        else:
-            points.append(pt)
-    return FatPointScheme(points, list(scheme.jets), list(scheme.contained))
+    head, rest = scheme.split(count)
+    moved = tuple((_onto(pt, space, divisor), n) for pt, n in head)
+    return FatPointScheme(moved + rest, list(scheme.jets), list(scheme.contained))
 
 
 def residue(
@@ -112,16 +102,13 @@ def residue(
     if degs[divisor.factor] == 0:
         raise ValueError("degree already zero across the divisor")
     degs[divisor.factor] -= 1
-    points = []
-    for pt in scheme.points:
-        if point_on_divisor(pt, divisor):
-            if pt.multiplicity > 1:
-                points.append(FatPoint(pt.multiplicity - 1, pt.spec))
-        else:
-            points.append(pt)
-    return Multidegree(tuple(degs)), FatPointScheme(
-        points, contained=list(scheme.contained)
-    )
+    runs = []
+    for pt, n in scheme.runs:
+        if not point_on_divisor(pt, divisor):
+            runs.append((pt, n))
+        elif pt.multiplicity > 1:
+            runs.append((FatPoint(pt.multiplicity - 1, pt.spec), n))
+    return Multidegree(tuple(degs)), FatPointScheme(runs, contained=list(scheme.contained))
 
 
 def _drop_coord(van: frozenset[int], index: int) -> frozenset[int]:
@@ -155,17 +142,16 @@ def trace(
             return None
         return CoordinateSubvariety(tuple(van))
 
-    points = []
-    for pt in scheme.points:
-        if not point_on_divisor(pt, divisor):
-            continue
-        coords = None
-        if pt.spec.coords is not None:
-            coords = tuple(
-                tuple(c for i, c in enumerate(vec) if not (f == divisor.factor and i == divisor.index))
+    j = divisor.index
+    runs = []
+    for pt, n in scheme.runs:
+        if point_on_divisor(pt, divisor):
+            coords = None if pt.spec.coords is None else tuple(
+                vec[:j] + vec[j + 1 :] if f == divisor.factor else vec
                 for f, vec in enumerate(pt.spec.coords)
             )
-        points.append(FatPoint(pt.multiplicity, PointSpec(map_stratum(pt.spec.stratum), coords)))
+            spec = PointSpec(map_stratum(pt.spec.stratum), coords)
+            runs.append((FatPoint(pt.multiplicity, spec), n))
 
     contained = []
     for sub in scheme.contained:
@@ -173,7 +159,7 @@ def trace(
         if mapped is None:
             raise ValueError("a contained subvariety collapses onto the divisor")
         contained.append(mapped)
-    return tspace, degree, FatPointScheme(points, contained=contained)
+    return tspace, degree, FatPointScheme(runs, contained=contained)
 
 
 def _pin_scheme(
@@ -202,8 +188,10 @@ def castelnuovo_bound_check(
 ) -> dict:
     """dim L(X) <= dim L(Res) + dim L(Tr) at one shared draw of points,
     together with vdim additivity and vdim <= dim, the vdims read off the
-    three certificates."""
+    three certificates.  The column and row limits are checked before the
+    points are drawn."""
     config = config or PrimeFieldConfig()
+    check_columns(space, degree, scheme.contained, scheme.conditions(space.ambient_dim()))
     pinned = _pin_scheme(space, scheme, config.prime, config.seed)
     rdeg, rscheme = residue(space, degree, pinned, divisor)
     tspace, tdeg, tscheme = trace(space, degree, pinned, divisor)
@@ -360,7 +348,7 @@ def collision_scheme(
     for i, j in combinations(range(N + 1), 2):
         d = tuple(a - b for a, b in zip(vecs[i], vecs[j]))
         jets.append(JetCondition(0, 3, d))
-    return FatPointScheme(make_scheme([(3, 1), (2, extra_doubles)]).points, jets)
+    return FatPointScheme(make_scheme([(3, 1), (2, extra_doubles)]).runs, jets)
 
 
 def collision_conditions(N: int) -> int:

@@ -24,7 +24,7 @@ point.  A monomial x^e is a product of factor monomials and beta splits
 into one part beta_f per factor, so d^beta x^e (q) is the product over the
 factors f of D_f[q, beta_f, e_f]: the rows of a point are Kronecker
 products of rows of per-factor tables, each in the point's own chart.
-build_matrix makes the tables of a run of consecutive points of one
+build_matrix makes the tables of a stretch of consecutive points of one
 multiplicity, _CHUNK rows' worth at a time, over the orders they need and
 the factor monomials the kept columns use, and makes their last product in
 the batch's rows of the matrix, so the build holds the matrix and one
@@ -65,10 +65,11 @@ fat-point head.
 
 A process remembers the row rank profiles of the last _MEMO_SIZE (64)
 matrices dimensions() eliminated, oldest out first, keyed on everything
-build_matrix reads: the space, the multidegree, the points in order (a run
-of equal points as one entry with its length), the jets and the contained
-subvarieties (frozen dataclasses, which hash and compare by every field),
-the prime and the seed.  build_matrix is a pure function of that key, so
+build_matrix reads: the space, the multidegree, the scheme's runs (each
+run of equal points one (point, length) entry; the runs are canonical, so
+equal schemes share a key), the jets and the contained subvarieties (frozen
+dataclasses, which hash and compare by every field), the prime and the
+seed.  build_matrix is a pure function of that key, so
 a matrix met again (the paper's replay asks for its quartic heads as base
 cases and as collision hypotheses) is answered with the profile a rebuild
 would give, and every certificate stays the same.  The
@@ -95,7 +96,7 @@ from itertools import groupby
 from math import factorial, perm, prod
 
 from . import _lazy_import
-from .schemes import FatPointScheme, conditions_of_fat_point
+from .schemes import FatPointScheme
 from .spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
 from .spaces import compositions, ideal_basis, ideal_basis_size
 
@@ -325,7 +326,8 @@ def build_matrix(
             f"(1/{order}! does not exist mod {p})"
         )
     N = space.ambient_dim()
-    ncols = check_columns(space, degree, scheme.contained, scheme.conditions(N))
+    nrows = scheme.conditions(N)
+    ncols = check_columns(space, degree, scheme.contained, nrows)
 
     # per factor, the factor monomials that the kept columns use, in basis
     # order: the columns are their product, or `take` of it where contained
@@ -344,11 +346,9 @@ def build_matrix(
     monos = [np.array(ms, dtype=np.int64).reshape(len(ms), c) for ms, c in zip(monos, counts)]
 
     Q, charts, directions = draw_scheme_points(space, scheme, p, seed)
-    mults = [pt.multiplicity for pt in scheme.points]
-    starts = np.cumsum([0] + [conditions_of_fat_point(a, N) for a in mults])
     # conditions as columns: A.T is C-contiguous, the layout dimensions()
     # eliminates in place
-    A = _matrix((ncols, starts[-1] + len(scheme.jets))).T
+    A = _matrix((ncols, nrows)).T
     aff = np.cumsum((0,) + space.factor_dims)  # each factor's affine coordinates
 
     def mulmod(x, y, out=None):
@@ -407,17 +407,18 @@ def build_matrix(
         if take is not None:
             np.take(whole, take, axis=1, out=out)
 
-    # batches of consecutive points of one multiplicity, at most _CHUNK rows
-    # (or one point) each: the rows of a batch are one range of the matrix,
-    # which rows() fills in place
-    first = 0
-    for a, run in groupby(mults):
+    # batches of consecutive points of one multiplicity (consecutive runs),
+    # at most _CHUNK rows (or one point) each: the rows of a batch are one
+    # range of the matrix, which rows() fills in place
+    first = row = 0
+    for a, stretch in groupby(scheme.runs, key=lambda run: run[0].multiplicity):
         betas = list(_derivative_multiindices(a, N))
-        stop = first + len(list(run))
+        stop = first + sum(n for _, n in stretch)
         step = max(1, _CHUNK // len(betas))
         for s in range(first, stop, step):
             t = min(s + step, stop)
-            rows(np.arange(s, t), betas, A[starts[s] : starts[t]])
+            rows(np.arange(s, t), betas, A[row : row + (t - s) * len(betas)])
+            row += (t - s) * len(betas)
         first = stop
 
     for ji, jet in enumerate(scheme.jets):
@@ -432,7 +433,7 @@ def build_matrix(
         ])
         R = np.empty((len(betas), ncols), dtype=np.int64)
         rows([jet.base_index], betas, R)
-        A[starts[-1] + ji] = (coef[:, None] * R % p).sum(axis=0) % p
+        A[row + ji] = (coef[:, None] * R % p).sum(axis=0) % p
 
     return InterpolationMatrix(A)
 
@@ -651,7 +652,7 @@ def dimension(
     result matches the expected dimension; otherwise try once more, at the
     alternate prime with a fresh seed, before reporting a special
     candidate."""
-    return dimensions(space, degree, scheme, [len(scheme.points)], config)[0]
+    return dimensions(space, degree, scheme, [len(scheme)], config)[0]
 
 
 def dimensions(
@@ -675,10 +676,12 @@ def dimensions(
     prefix keeps its own runs and stops at its own first certifying attempt.
     Jet rows come last, so a scheme with jets has no proper prefixes.
 
-    An attempt whose matrix this process has eliminated before, among the
-    last _MEMO_SIZE (64), builds nothing: it reads the remembered row rank
+    A subscheme is the runs of the scheme's first k points (split), so
+    neither the subschemes nor the limit check list a point.  An attempt
+    whose matrix this process has eliminated before, among the last
+    _MEMO_SIZE (64), builds nothing: it reads the remembered row rank
     profile, keyed on everything build_matrix reads (space, multidegree,
-    points in order, jets, contained subvarieties, prime and seed).
+    the scheme's runs, jets, contained subvarieties, prime and seed).
     The column and row limits are checked first, memo or not.  A forked
     worker starts with its parent's memo and sends its additions back.
 
@@ -690,17 +693,14 @@ def dimensions(
     point pinned, every jet with a direction) still gets a distinct matrix
     per attempt, from the prime."""
     config = config or PrimeFieldConfig()
-    npts = len(scheme.points)
+    npts = len(scheme)
     subs = []
     for k in counts:
         if not 0 <= k <= npts:
             raise ValueError(f"point count {k} is outside 0..{npts}")
         if k < npts and scheme.jets:
             raise ValueError("a scheme with jets has no proper point prefixes")
-        subs.append(
-            scheme if k == npts
-            else FatPointScheme(scheme.points[:k], contained=scheme.contained)
-        )
+        subs.append(FatPointScheme(scheme.split(k)[0], scheme.jets, scheme.contained))
     # the subschemes share the columns; build_matrix checks the scheme.  The
     # limits are checked here, before the memo is read
     rows = [sub.conditions(space.ambient_dim()) for sub in subs]
@@ -759,8 +759,7 @@ def _row_profile(
     The caller has checked the column and row limits."""
     # the frozen dataclasses hash and compare by every field; a run of equal
     # points is one (point, length) entry, so a key holds few point objects
-    points = tuple((pt, len(list(run))) for pt, run in groupby(scheme.points))
-    key = (space, degree, points, tuple(scheme.jets), tuple(scheme.contained), p, seed)
+    key = (space, degree, scheme.runs, tuple(scheme.jets), tuple(scheme.contained), p, seed)
     profile = _profiles.get(key)
     if profile is None:
         pivots = _rank_profile(build_matrix(space, degree, scheme, prime=p, seed=seed).array.T, p)

@@ -97,7 +97,7 @@ def load_bundled_registry() -> list[BaseCase]:
 
     def add(cid, dims, degs, expected, groups, contained=()):
         space = MultiProjectiveSpace(dims)
-        scheme = FatPointScheme(make_scheme(groups).points, contained=list(contained))
+        scheme = FatPointScheme(make_scheme(groups).runs, contained=list(contained))
         scheme.check(space)
         cases.append(BaseCase(cid, space, Multidegree(degs), expected, scheme))
 

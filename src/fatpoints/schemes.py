@@ -1,10 +1,16 @@
 """Fat-point schemes on products of projective spaces.
 
-A scheme is a list of fat points (multiplicity a at a point, imposing all
-partial-derivative vanishings of order < a), optional jet conditions (the
-degree-kappa term of the Taylor expansion at a base point, evaluated at a
-tangent direction, must vanish), and an optional list of coordinate
+A scheme is a sequence of fat points (multiplicity a at a point, imposing
+all partial-derivative vanishings of order < a), optional jet conditions
+(the degree-kappa term of the Taylor expansion at a base point, evaluated
+at a tangent direction, must vanish), and an optional list of coordinate
 subvarieties the forms must contain.
+
+The points are held as runs: (point, count) pairs, count equal points in a
+row.  The runs are canonical (adjacent equal points merge, empty runs
+drop), so equal schemes have equal runs, and a scheme of many points costs
+one entry per run.  Every scheme operation goes over the runs; `points`
+lists one entry per point for the readers that need one.
 
 Points are either "general" (drawn at evaluation time, optionally confined
 to a coordinate stratum) or pinned to explicit coordinates.  make_scheme
@@ -113,19 +119,57 @@ class JetCondition:
 
 @dataclass
 class FatPointScheme:
-    points: list[FatPoint]
+    """Fat points as canonical runs (point, count), made from the runs or
+    lone points given; jets and contained subvarieties."""
+
+    runs: tuple[tuple[FatPoint, int], ...]
     jets: list[JetCondition] = field(default_factory=list)
     contained: list[CoordinateSubvariety] = field(default_factory=list)
 
+    def __post_init__(self):
+        """Make the runs canonical: each item given is a run (point, count)
+        or a lone FatPoint, a run of one; adjacent equal points merge and
+        empty runs drop.  A negative count is a ValueError."""
+        runs: list[tuple[FatPoint, int]] = []
+        for item in self.runs:
+            pt, count = (item, 1) if isinstance(item, FatPoint) else item
+            if count < 0:
+                raise ValueError(f"a run of {count} points: counts must be >= 0")
+            if runs and runs[-1][0] == pt:
+                runs[-1] = (pt, runs[-1][1] + count)
+            elif count:
+                runs.append((pt, count))
+        self.runs = tuple(runs)
+
+    def __len__(self) -> int:
+        """The number of points."""
+        return sum(count for _, count in self.runs)
+
+    @property
+    def points(self) -> list[FatPoint]:
+        """One entry per point, in order: a new list, read off the runs."""
+        return [pt for pt, count in self.runs for _ in range(count)]
+
+    def split(self, k: int) -> tuple[tuple, tuple]:
+        """The runs of the first k points and the runs of the rest, for
+        0 <= k <= len(self); at most one run is cut."""
+        for i, (pt, count) in enumerate(self.runs):
+            if k < count:
+                head = self.runs[:i] + (((pt, k),) if k else ())
+                return head, ((pt, count - k),) + self.runs[i + 1 :]
+            k -= count
+        return self.runs, ()
+
     def check(self, space: MultiProjectiveSpace):
-        for pt in self.points:
+        for pt, _ in self.runs:
             pt.spec.check(space)
         for sub in self.contained:
             sub.check(space)
         for jet in self.jets:
-            if not 0 <= jet.base_index < len(self.points):
+            if not 0 <= jet.base_index < len(self):
                 raise ValueError("jet base index out of range")
-            if self.points[jet.base_index].multiplicity < jet.order:
+            # the base point is the first point after the first base_index
+            if self.split(jet.base_index)[1][0][0].multiplicity < jet.order:
                 raise ValueError(
                     "jet order exceeds the multiplicity of its base point"
                 )
@@ -135,20 +179,15 @@ class FatPointScheme:
     def conditions(self, ambient_dim: int) -> int:
         """Total number of linear conditions (each jet contributes one)."""
         return sum(
-            conditions_of_fat_point(pt.multiplicity, ambient_dim)
-            for pt in self.points
+            count * conditions_of_fat_point(pt.multiplicity, ambient_dim)
+            for pt, count in self.runs
         ) + len(self.jets)
 
     def type_label(self) -> str:
         """Multiplicity profile like '3,2^9' (descending, run-length)."""
-        mults = sorted((pt.multiplicity for pt in self.points), reverse=True)
-        runs: list[tuple[int, int]] = []
-        for m in mults:
-            if runs and runs[-1][0] == m:
-                runs[-1] = (m, runs[-1][1] + 1)
-            else:
-                runs.append((m, 1))
-        return ",".join(f"{m}^{c}" if c > 1 else str(m) for m, c in runs)
+        mults = sorted({pt.multiplicity for pt, _ in self.runs}, reverse=True)
+        totals = [(m, sum(n for pt, n in self.runs if pt.multiplicity == m)) for m in mults]
+        return ",".join(f"{m}^{c}" if c > 1 else str(m) for m, c in totals)
 
 
 _TYPE_TERM = re.compile(r"^(\d+)(?:\^(\d+))?$")
@@ -176,16 +215,16 @@ def make_scheme(profile: str | list[tuple]) -> FatPointScheme:
     order.  A group is (multiplicity, count), general points, or
     (multiplicity, count, stratum), points confined to a coordinate stratum
     (None for general ones); a string is a multiplicity profile like
-    '3,2^9' (parse_scheme_type).  A group is listed as `count` references to
-    one frozen FatPoint.  degeneration.specialize_onto puts points on a
-    divisor."""
+    '3,2^9' (parse_scheme_type).  A group is a run of `count` equal points,
+    one frozen FatPoint; a negative count is a ValueError.
+    degeneration.specialize_onto puts points on a divisor."""
     if isinstance(profile, str):
         profile = parse_scheme_type(profile)
-    points: list[FatPoint] = []
+    runs = []
     for mult, count, *stratum in profile:
         (stratum,) = stratum or (None,)
-        points += [FatPoint(mult, PointSpec(stratum))] * count
-    return FatPointScheme(points)
+        runs.append((FatPoint(mult, PointSpec(stratum)), count))
+    return FatPointScheme(runs)
 
 
 def virtual_dim(

@@ -16,11 +16,10 @@ from .engine import (
     DimensionVerdict,
     PrimeFieldConfig,
     _to_json,
-    check_columns,
     dimensions,
     status_matches,
 )
-from .schemes import conditions_of_fat_point, make_scheme
+from .schemes import make_scheme
 from .spaces import Multidegree, MultiProjectiveSpace, ideal_basis_size
 
 
@@ -53,15 +52,15 @@ def secant_dims(
     each r in rs.  The r points are the first r of one draw of max(rs), so
     one dimensions() call answers every r.  The secant's actual and
     expected dimensions are L - 1 less the system's computed and expected
-    ones, so its defect is the system's computed_dim - expected_dim."""
+    ones, so its defect is the system's computed_dim - expected_dim.  The
+    scheme is one run, and dimensions() checks the limits before any point
+    is drawn."""
     if any(r < 1 for r in rs):
         raise ValueError("r must be >= 1")
-    rows = max(rs, default=0) * conditions_of_fat_point(2, space.ambient_dim())
-    L = check_columns(space, degree, rows=rows)  # before the points are listed
     scheme = make_scheme([(2, max(rs, default=0))])
     verdicts = []
     for r, cert in zip(rs, dimensions(space, degree, scheme, rs, config)):
-        exp, actual = L - 1 - cert.expected_dim, L - 1 - cert.computed_dim
+        exp, actual = cert.cols - 1 - cert.expected_dim, cert.cols - 1 - cert.computed_dim
         defect = cert.computed_dim - cert.expected_dim
         verdicts.append(
             SecantVerdict(space, degree, r, exp, actual, defect, defect > 0, cert)
@@ -190,11 +189,9 @@ def theorem_hypotheses(
     degree: Multidegree,
     config: PrimeFieldConfig | None = None,
 ) -> HypothesisReport:
-    L = check_columns(space, degree)  # before the points are listed
     N = space.ambient_dim()
     r_values = collision_r_values(space, degree)
 
-    big_enough = L >= (N + 1) ** 2
     # r = N + 1 + k points collide into one fat point plus k double points.
     # The lone fat point is the 1-point prefix of each residual scheme, so
     # one dimensions() call per fat multiplicity answers every count.
@@ -206,6 +203,7 @@ def theorem_hypotheses(
 
     residual, quartic = with_fat_head(3), with_fat_head(4)
     cert3, cert4 = residual[1], quartic[1]
+    big_enough = cert3.cols >= (N + 1) ** 2
     gap_ok = cert3.computed_dim - cert4.computed_dim >= N * (N + 1) // 2
 
     per_r = {}

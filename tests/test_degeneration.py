@@ -3,7 +3,10 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fatpoints import degeneration
 from fatpoints.degeneration import (
     DivisorSpec,
     castelnuovo_bound_check,
@@ -27,11 +30,19 @@ from fatpoints.engine import (
 from fatpoints.schemes import (
     FatPoint,
     FatPointScheme,
+    JetCondition,
     PointSpec,
+    conditions_of_fat_point,
     make_scheme,
     virtual_dim,
 )
-from fatpoints.spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
+from fatpoints.secant import secant_dims
+from fatpoints.spaces import (
+    CoordinateSubvariety,
+    Multidegree,
+    MultiProjectiveSpace,
+    ideal_basis_size,
+)
 
 
 def test_specialize_and_membership():
@@ -152,6 +163,194 @@ def test_castelnuovo_bound():
     # the vdims read off the certificates are those of the unpinned split
     vdims = (rep["vdim"], rep["vdim_residue"], rep["vdim_trace"])
     assert vdims == _split_vdims(sp, dg, scheme, div)
+
+
+def test_castelnuovo_checks_the_limits_before_it_draws(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("points drawn before the limits were checked")
+
+    monkeypatch.setattr(degeneration, "draw_scheme_points", no_draw)
+    # P^1 x P^1 (3,3): 16 columns, and each double point imposes 3 rows
+    sp, dg, div = MultiProjectiveSpace((1, 1)), Multidegree((3, 3)), DivisorSpec(0, 0)
+    for count in (3000, 10**15):
+        with pytest.raises(ValueError, match="rows exceeds the 8192 row limit"):
+            castelnuovo_bound_check(sp, dg, make_scheme([(2, count)]), div)
+
+
+# The per-point forms of specialize_onto, residue, trace and type_label, as
+# they were before a scheme held runs: references for the run forms.
+
+
+def _specialize_points(space, points, divisor, count):
+    out = []
+    for i, pt in enumerate(points):
+        if i < count:
+            stratum = pt.spec.stratum
+            van = list(stratum.vanishing if stratum else [frozenset()] * space.num_factors)
+            van[divisor.factor] = van[divisor.factor] | {divisor.index}
+            out.append(FatPoint(pt.multiplicity, PointSpec(CoordinateSubvariety(tuple(van)))))
+        else:
+            out.append(pt)
+    return out
+
+
+def _residue_points(points, divisor):
+    out = []
+    for pt in points:
+        if point_on_divisor(pt, divisor):
+            if pt.multiplicity > 1:
+                out.append(FatPoint(pt.multiplicity - 1, pt.spec))
+        else:
+            out.append(pt)
+    return out
+
+
+def _trace_points(points, divisor):
+    f0, i0 = divisor.factor, divisor.index
+
+    def map_stratum(stratum):
+        if stratum is None:
+            return None
+        van = list(stratum.vanishing)
+        van[f0] = frozenset(i if i < i0 else i - 1 for i in van[f0] if i != i0)
+        if not any(van):
+            return None
+        return CoordinateSubvariety(tuple(van))
+
+    out = []
+    for pt in points:
+        if not point_on_divisor(pt, divisor):
+            continue
+        coords = None
+        if pt.spec.coords is not None:
+            coords = tuple(
+                tuple(c for i, c in enumerate(vec) if not (f == f0 and i == i0))
+                for f, vec in enumerate(pt.spec.coords)
+            )
+        out.append(FatPoint(pt.multiplicity, PointSpec(map_stratum(pt.spec.stratum), coords)))
+    return out
+
+
+def _label_points(points):
+    mults = sorted((pt.multiplicity for pt in points), reverse=True)
+    runs = []
+    for m in mults:
+        if runs and runs[-1][0] == m:
+            runs[-1] = (m, runs[-1][1] + 1)
+        else:
+            runs.append((m, 1))
+    return ",".join(f"{m}^{c}" if c > 1 else str(m) for m, c in runs)
+
+
+def _vdim_points(space, degree, points):
+    N = space.ambient_dim()
+    return ideal_basis_size(space, degree) - sum(
+        conditions_of_fat_point(pt.multiplicity, N) for pt in points
+    )
+
+
+@st.composite
+def _grouped_systems(draw):
+    """A space of 1-3 factors, a degree, a divisor on a factor of dimension
+    2 or 3 (so the trace exists) and a scheme given as 1-4 make_scheme
+    groups (multiplicity 1-4, count 0-5, general or on a stratum) with
+    pinned points between them, each given once or twice in a row; and a
+    count of points to move onto the divisor."""
+    nf = draw(st.integers(1, 3))
+    dims = [draw(st.integers(1, 3)) for _ in range(nf)]
+    factor = draw(st.integers(0, nf - 1))
+    dims[factor] = max(dims[factor], 2)
+    degs = tuple(draw(st.integers(1, 3)) for _ in dims)
+    divisor = DivisorSpec(factor, draw(st.integers(0, dims[factor])))
+
+    # a coordinate of each factor that stays free: on the divisor, on its
+    # strata and in the trace
+    free = [draw(st.sampled_from([i for i in range(n + 1) if (f, i) != (factor, divisor.index)]))
+            for f, n in enumerate(dims)]
+
+    def stratum():
+        if draw(st.booleans()):
+            return None
+        van = [draw(st.sets(st.integers(0, n).filter(lambda i, j=j: i != j)))
+               for n, j in zip(dims, free)]
+        if not any(van):
+            van[factor] = {divisor.index}
+        return CoordinateSubvariety(tuple(map(frozenset, van)))
+
+    def pinned():
+        coords = [draw(st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1)) for n in dims]
+        for vec, j in zip(coords, free):
+            vec[j] = 1
+        return FatPoint(draw(st.integers(1, 4)), PointSpec(None, coords))
+
+    items = []
+    for _ in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(0, 1))):
+            items += [pinned()] * draw(st.integers(1, 2))
+        items += make_scheme([(draw(st.integers(1, 4)), draw(st.integers(0, 5)), stratum())]).runs
+    scheme = FatPointScheme(items)
+    count = draw(st.integers(0, len(scheme)))
+    return MultiProjectiveSpace(tuple(dims)), Multidegree(degs), divisor, items, scheme, count
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grouped_systems())
+def test_run_forms_match_the_per_point_loops(system):
+    space, degree, divisor, items, scheme, count = system
+    points = []
+    for item in items:
+        points += [item] if isinstance(item, FatPoint) else [item[0]] * item[1]
+    assert scheme.points == points and len(scheme) == len(points)
+    # canonical runs: no empty run, no two adjacent runs of equal points
+    assert all(n > 0 for _, n in scheme.runs)
+    assert all(a[0] != b[0] for a, b in zip(scheme.runs, scheme.runs[1:]))
+    assert FatPointScheme(points) == scheme
+    head, rest = scheme.split(count)
+    assert FatPointScheme(head).points == points[:count]
+    assert FatPointScheme(rest).points == points[count:]
+
+    spec = specialize_onto(space, scheme, divisor, count)
+    spec_points = _specialize_points(space, points, divisor, count)
+    rdeg, res = residue(space, degree, spec, divisor)
+    tspace, tdeg, tr = trace(space, degree, spec, divisor)
+    for got, want, sp, dg in (
+        (spec, spec_points, space, degree),
+        (res, _residue_points(spec_points, divisor), space, rdeg),
+        (tr, _trace_points(spec_points, divisor), tspace, tdeg),
+    ):
+        assert got.points == want
+        assert got == FatPointScheme(want)
+        assert got.type_label() == _label_points(want)
+        assert virtual_dim(sp, dg, got) == _vdim_points(sp, dg, want)
+
+
+def test_a_scheme_of_10_15_points_answers_from_its_runs():
+    # P^2 x P^2 (3,3): 100 columns; N = 4, so a triple point imposes 15
+    # conditions and a double point 5
+    big = 10**15
+    sp, dg, div = MultiProjectiveSpace((2, 2)), Multidegree((3, 3)), DivisorSpec(0, 0)
+    scheme = make_scheme([(3, 1), (2, big)])
+    assert len(scheme) == big + 1
+    assert scheme.type_label() == f"3,2^{big}"
+    assert virtual_dim(sp, dg, scheme) == 100 - 15 - 5 * big
+    jet = FatPointScheme(scheme.runs, [JetCondition(0, 3)])
+    assert virtual_dim(sp, dg, jet) == 100 - 15 - 5 * big - 1
+    with pytest.raises(ValueError, match="jet order exceeds"):
+        virtual_dim(sp, dg, FatPointScheme(scheme.runs, [JetCondition(1, 3)]))
+    spec = specialize_onto(sp, scheme, div, big)
+    on = PointSpec(CoordinateSubvariety((frozenset({0}), frozenset())))
+    assert spec.runs == ((FatPoint(3, on), 1), (FatPoint(2, on), big - 1), (FatPoint(2), 1))
+    rdeg, res = residue(sp, dg, spec, div)
+    tspace, tdeg, tr = trace(sp, dg, spec, div)
+    assert res.type_label() == f"2^2,1^{big - 1}"
+    assert tr.type_label() == f"3,2^{big - 1}"
+    assert virtual_dim(sp, dg, spec) == (
+        virtual_dim(sp, rdeg, res) + virtual_dim(tspace, tdeg, tr)
+    )
+    with pytest.raises(ValueError, match="rows exceeds the 8192 row limit"):
+        dimension(sp, dg, scheme)
+    with pytest.raises(ValueError, match="rows exceeds the 8192 row limit"):
+        secant_dims(sp, dg, [big])
 
 
 def _subset_span_check(star):

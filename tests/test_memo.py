@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from fatpoints import engine, replication
 from fatpoints.engine import DEFAULT_PRIME, PrimeFieldConfig, dimension, dimensions
 from fatpoints.replication import run_basecases
-from fatpoints.schemes import FatPoint, FatPointScheme, JetCondition, PointSpec
+from fatpoints.schemes import FatPoint, FatPointScheme, JetCondition, PointSpec, make_scheme
 from fatpoints.secant import theorem_hypotheses
 from fatpoints.spaces import CoordinateSubvariety, Multidegree, MultiProjectiveSpace
 
@@ -172,6 +172,21 @@ def test_pinned_coordinates_and_directions_given_as_lists(build_calls):
     build_calls.clear()
     assert dimension(space, degree, listed, config).to_json() == want
     assert build_calls == []
+
+
+def test_a_scheme_given_point_by_point_shares_its_runs_memo_entry(build_calls):
+    # P^2 quartics: 15 columns, 3,2^3,1^2 imposes 6 + 9 + 2 conditions
+    space, degree = MultiProjectiveSpace((2,)), Multidegree((4,))
+    runs = make_scheme("3,2^3,1^2")
+    listed = FatPointScheme([FatPoint(3), *[FatPoint(2)] * 3, FatPoint(1), FatPoint(1)])
+    assert listed == runs
+    assert listed.runs == runs.runs == ((FatPoint(3), 1), (FatPoint(2), 3), (FatPoint(1), 2))
+    cert = dimension(space, degree, runs)
+    assert len(build_calls) == len(engine._profiles) == len(cert.runs)
+    build_calls.clear()
+    assert dimension(space, degree, listed).to_json() == cert.to_json()
+    assert build_calls == []
+    assert len(engine._profiles) == len(cert.runs)
 
 
 def test_a_change_of_the_space_or_the_degree_builds_anew(build_calls):

@@ -116,8 +116,8 @@ def _corrupted_registry():
     cases = load_bundled_registry()
     i = next(i for i, c in enumerate(cases) if c.case_id == "33-1x1-triple")
     case = cases[i]
-    bad_scheme = dataclasses.replace(case.scheme)
-    bad_scheme.points = [FatPoint(p.multiplicity + 1, p.spec) for p in case.scheme.points]
+    bad_runs = [(FatPoint(p.multiplicity + 1, p.spec), n) for p, n in case.scheme.runs]
+    bad_scheme = dataclasses.replace(case.scheme, runs=bad_runs)
     cases[i] = BaseCase(case.case_id, case.space, case.degree, case.expected, bad_scheme)
     return cases
 

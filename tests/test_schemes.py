@@ -89,6 +89,14 @@ def test_make_scheme_groups_match_hand_listed_points(system):
         assert got == dimension(space, degree, by_hand, config).to_json(), seed
 
 
+@pytest.mark.parametrize("groups", [[(2, -3)], [(3, 1), (2, -2)], [(2, 4), (1, -1, None)]])
+def test_negative_counts_are_refused(groups):
+    with pytest.raises(ValueError, match="counts must be >= 0"):
+        make_scheme(groups)
+    with pytest.raises(ValueError, match="counts must be >= 0"):
+        FatPointScheme([(FatPoint(m), count) for m, count, *_ in groups])
+
+
 def test_virtual_dim_examples():
     sp = MultiProjectiveSpace((1, 1))
     assert virtual_dim(sp, Multidegree((3, 3)), make_scheme("3,2^3")) == 16 - 6 - 9
