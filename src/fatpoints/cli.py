@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__, arith
 from .degeneration import (
@@ -31,7 +32,7 @@ from .degeneration import (
 )
 from .engine import DimensionVerdict, PrimeFieldConfig, dimension
 from .replication import run_basecases
-from .schemes import FatPointScheme, make_scheme
+from .schemes import make_scheme
 from .secant import is_defective, secant_dim, theorem_hypotheses
 from .spaces import Multidegree, MultiProjectiveSpace
 
@@ -48,18 +49,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_space(text: str) -> MultiProjectiveSpace:
+def _space_and_degree(args) -> tuple[MultiProjectiveSpace, Multidegree]:
+    """The space of --space and the multidegree of --deg, in that order."""
     try:
-        return MultiProjectiveSpace(tuple(int(t) for t in text.split("x")))
+        space = MultiProjectiveSpace(tuple(int(t) for t in args.space.split("x")))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad space {text!r}: {exc}")
-
-
-def _parse_deg(text: str) -> Multidegree:
+        raise argparse.ArgumentTypeError(f"bad space {args.space!r}: {exc}")
     try:
-        return Multidegree(tuple(int(t) for t in text.split(",")))
+        return space, Multidegree(tuple(int(t) for t in args.deg.split(",")))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad degree {text!r}: {exc}")
+        raise argparse.ArgumentTypeError(f"bad degree {args.deg!r}: {exc}")
 
 
 def _parse_divisor(text: str) -> DivisorSpec:
@@ -79,24 +78,20 @@ def _system_from_flags(args):
     on the points not yet placed.  The scheme is held as runs, so neither
     step lists a point; the column and row limits are checked before any
     point is drawn (dimension, castelnuovo_bound_check)."""
-    space, degree = _parse_space(args.space), _parse_deg(args.deg)
+    space, degree = _space_and_degree(args)
     scheme, placed = make_scheme(args.scheme), 0
     for spec in args.on_divisor or []:
-        parts = spec.split(":")
-        if len(parts) != 3:
+        try:
+            factor, index, count = (int(t) for t in spec.split(":"))
+        except ValueError:
             raise ValueError(f"bad --on-divisor {spec!r}, expected FACTOR:INDEX:COUNT")
-        factor, index, count = (int(t) for t in parts)
         if count < 1:
             raise ValueError(f"bad --on-divisor {spec!r}, COUNT must be >= 1")
         head, rest = scheme.split(placed)
-        rest = specialize_onto(space, FatPointScheme(rest), DivisorSpec(factor, index), count)
-        scheme = FatPointScheme(head + rest.runs)
+        rest = specialize_onto(space, replace(scheme, runs=rest), DivisorSpec(factor, index), count)
+        scheme = replace(scheme, runs=head + rest.runs)
         placed += count
     return space, degree, scheme
-
-
-def _config(args) -> PrimeFieldConfig:
-    return PrimeFieldConfig(prime=args.prime, seed=args.seed)
 
 
 def _status_exit(status: DimensionVerdict) -> int:
@@ -128,8 +123,7 @@ def _cmd_dim(args, config):
 
 
 def _cmd_secant(args, config):
-    space = _parse_space(args.space)
-    degree = _parse_deg(args.deg)
+    space, degree = _space_and_degree(args)
     verdict = secant_dim(space, degree, args.r, config)
     doc = verdict.to_json()
     text = (
@@ -141,8 +135,7 @@ def _cmd_secant(args, config):
 
 
 def _cmd_defective(args, config):
-    space = _parse_space(args.space)
-    degree = _parse_deg(args.deg)
+    space, degree = _space_and_degree(args)
     report = is_defective(space, degree, config)
     doc = report.to_json()
     if report.certified_nondefective:
@@ -164,8 +157,7 @@ def _cmd_defective(args, config):
 
 
 def _cmd_hypotheses(args, config):
-    space = _parse_space(args.space)
-    degree = _parse_deg(args.deg)
+    space, degree = _space_and_degree(args)
     report = theorem_hypotheses(space, degree, config)
     doc = report.to_json()
     verdict = "hold" if report.all_hold else "FAIL"
@@ -460,7 +452,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
-        config = _config(args)
+        config = PrimeFieldConfig(prime=args.prime, seed=args.seed)
     except ValueError as exc:
         return _usage(exc)
 

@@ -10,7 +10,7 @@ and dim L(X) <= dim Res + dim Tr holds at any fixed set of points.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
@@ -76,7 +76,8 @@ def specialize_onto(
     count: int,
 ) -> FatPointScheme:
     """Move the first `count` points of the scheme onto the divisor; a
-    count of 0 moves none.  At most one run is cut."""
+    count of 0 moves none.  At most one run is cut, and every other part of
+    the scheme is kept."""
     divisor.check(space)
     if not 0 <= count <= len(scheme):
         raise ValueError(
@@ -84,7 +85,7 @@ def specialize_onto(
         )
     head, rest = scheme.split(count)
     moved = tuple((_onto(pt, space, divisor), n) for pt, n in head)
-    return FatPointScheme(moved + rest, list(scheme.jets), list(scheme.contained))
+    return replace(scheme, runs=moved + rest)
 
 
 def residue(
@@ -94,7 +95,9 @@ def residue(
     divisor: DivisorSpec,
 ) -> tuple[Multidegree, FatPointScheme]:
     """Residue: degree drops by one across the divisor, multiplicities of
-    points on the divisor drop by one (and leave the scheme at zero)."""
+    points on the divisor drop by one (and leave the scheme at zero).  Each
+    part of the scheme has its own rule: jets are refused, and the
+    contained subvarieties are kept."""
     divisor.check(space)
     if scheme.jets:
         raise ValueError("residue of jet conditions is not supported")
@@ -108,7 +111,7 @@ def residue(
             runs.append((pt, n))
         elif pt.multiplicity > 1:
             runs.append((FatPoint(pt.multiplicity - 1, pt.spec), n))
-    return Multidegree(tuple(degs)), FatPointScheme(runs, contained=list(scheme.contained))
+    return Multidegree(tuple(degs)), FatPointScheme(runs, contained=scheme.contained)
 
 
 def _drop_coord(van: frozenset[int], index: int) -> frozenset[int]:
@@ -123,7 +126,9 @@ def trace(
 ) -> tuple[MultiProjectiveSpace, Multidegree, FatPointScheme]:
     """Trace: restriction to the divisor.  Only points on the divisor
     survive, with full multiplicities; the divisor's coordinate is deleted
-    from the factor (which must have dimension >= 2)."""
+    from the factor (which must have dimension >= 2).  Each part of the
+    scheme has its own rule: jets are refused, and each contained
+    subvariety is mapped into the divisor."""
     divisor.check(space)
     if scheme.jets:
         raise ValueError("trace of jet conditions is not supported")
@@ -169,14 +174,14 @@ def _pin_scheme(
     seed: int,
 ) -> FatPointScheme:
     """Draw coordinates once and pin them, so residue and trace are taken
-    at the same points."""
+    at the same points; every other part of the scheme is kept."""
     counts, offs = space.coord_counts(), space.coord_offsets()
     flat_pts, _, _ = draw_scheme_points(space, scheme, prime, seed)
     points = []
     for pt, flat in zip(scheme.points, flat_pts.tolist()):
         coords = tuple(tuple(flat[off : off + c]) for off, c in zip(offs, counts))
         points.append(FatPoint(pt.multiplicity, PointSpec(pt.spec.stratum, coords)))
-    return FatPointScheme(points, list(scheme.jets), list(scheme.contained))
+    return replace(scheme, runs=points)
 
 
 def castelnuovo_bound_check(
@@ -348,7 +353,7 @@ def collision_scheme(
     for i, j in combinations(range(N + 1), 2):
         d = tuple(a - b for a, b in zip(vecs[i], vecs[j]))
         jets.append(JetCondition(0, 3, d))
-    return FatPointScheme(make_scheme([(3, 1), (2, extra_doubles)]).runs, jets)
+    return replace(make_scheme([(3, 1), (2, extra_doubles)]), jets=jets)
 
 
 def collision_conditions(N: int) -> int:

@@ -65,18 +65,20 @@ fat-point head.
 
 A process remembers the row rank profiles of the last _MEMO_SIZE (64)
 matrices dimensions() eliminated, oldest out first, keyed on everything
-build_matrix reads: the space, the multidegree, the scheme's runs (each
-run of equal points one (point, length) entry; the runs are canonical, so
-equal schemes share a key), the jets and the contained subvarieties (frozen
-dataclasses, which hash and compare by every field), the prime and the
-seed.  build_matrix is a pure function of that key, so
-a matrix met again (the paper's replay asks for its quartic heads as base
-cases and as collision hypotheses) is answered with the profile a rebuild
-would give, and every certificate stays the same.  The
-column and row limits are checked before the lookup, so a refusal never
-depends on what is remembered.  A forked worker of replication._answer_all
-inherits the memo as it stood at the fork and sends the profiles it adds
-back with its answers; the parent remembers them (_remember), oldest first.
+build_matrix reads: the space, the multidegree, the scheme, the prime and
+the seed.  The scheme is one frozen value (schemes.FatPointScheme): its
+canonical runs, each run of equal points one (point, length) entry, its
+jets and its contained subvarieties, all tuples of frozen dataclasses,
+which hash and compare by every field, so equal schemes share a key and a
+part added to the scheme is part of the key.  build_matrix is a pure
+function of that key, so a matrix met again (the paper's replay asks for
+its quartic heads as base cases and as collision hypotheses) is answered
+with the profile a rebuild would give, and every certificate stays the
+same.  The column and row limits are checked before the lookup, so a
+refusal never depends on what is remembered.  A forked worker of
+replication._answer_all inherits the memo as it stood at the fork and
+sends the profiles it adds back with its answers; the parent remembers
+them (_remember), oldest first.
 
 numpy is bound lazily (fatpoints._lazy_import): it is executed at the
 engine's first point draw, build or elimination, so importing the engine
@@ -89,7 +91,7 @@ import mmap
 import random
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache
 from itertools import groupby
@@ -676,14 +678,15 @@ def dimensions(
     prefix keeps its own runs and stops at its own first certifying attempt.
     Jet rows come last, so a scheme with jets has no proper prefixes.
 
-    A subscheme is the runs of the scheme's first k points (split), so
-    neither the subschemes nor the limit check list a point.  An attempt
-    whose matrix this process has eliminated before, among the last
-    _MEMO_SIZE (64), builds nothing: it reads the remembered row rank
-    profile, keyed on everything build_matrix reads (space, multidegree,
-    the scheme's runs, jets, contained subvarieties, prime and seed).
-    The column and row limits are checked first, memo or not.  A forked
-    worker starts with its parent's memo and sends its additions back.
+    A subscheme is the scheme with the runs of its first k points (split,
+    then dataclasses.replace, which keeps every other part), so neither the
+    subschemes nor the limit check list a point.  An attempt whose matrix
+    this process has eliminated before, among the last _MEMO_SIZE (64),
+    builds nothing: it reads the remembered row rank profile, keyed on
+    everything build_matrix reads (space, multidegree, scheme, prime and
+    seed).  The column and row limits are checked first, memo or not.  A
+    forked worker starts with its parent's memo and sends its additions
+    back.
 
     Every scheme gets the same two attempts: (prime, seed), then the
     alternate prime at the fresh seed (seed * 1000003 + 1) mod 2^63.  The
@@ -700,7 +703,7 @@ def dimensions(
             raise ValueError(f"point count {k} is outside 0..{npts}")
         if k < npts and scheme.jets:
             raise ValueError("a scheme with jets has no proper point prefixes")
-        subs.append(FatPointScheme(scheme.split(k)[0], scheme.jets, scheme.contained))
+        subs.append(replace(scheme, runs=scheme.split(k)[0]))
     # the subschemes share the columns; build_matrix checks the scheme.  The
     # limits are checked here, before the memo is read
     rows = [sub.conditions(space.ambient_dim()) for sub in subs]
@@ -757,9 +760,11 @@ def _row_profile(
     remembered, or built and eliminated in place (conditions as columns, as
     build_matrix lays it out) and remembered; the matrix is gone on return.
     The caller has checked the column and row limits."""
-    # the frozen dataclasses hash and compare by every field; a run of equal
-    # points is one (point, length) entry, so a key holds few point objects
-    key = (space, degree, scheme.runs, tuple(scheme.jets), tuple(scheme.contained), p, seed)
+    # the frozen dataclasses hash and compare by every field, so the scheme
+    # is its own key: its runs (one (point, length) entry per run of equal
+    # points, so a key holds few point objects), jets and contained
+    # subvarieties
+    key = (space, degree, scheme, p, seed)
     profile = _profiles.get(key)
     if profile is None:
         pivots = _rank_profile(build_matrix(space, degree, scheme, prime=p, seed=seed).array.T, p)

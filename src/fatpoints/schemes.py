@@ -12,6 +12,12 @@ drop), so equal schemes have equal runs, and a scheme of many points costs
 one entry per run.  Every scheme operation goes over the runs; `points`
 lists one entry per point for the readers that need one.
 
+A scheme is one frozen value, defined here alone: its jets and contained
+subvarieties are tuples, whatever iterable they were given in, so equal
+schemes compare and hash equal and a scheme is a key (the engine's memo
+keys on it).  A step that changes only some parts derives the new scheme
+with dataclasses.replace, which carries every other part over.
+
 Points are either "general" (drawn at evaluation time, optionally confined
 to a coordinate stratum) or pinned to explicit coordinates.  make_scheme
 builds a scheme of unpinned points from its groups.
@@ -117,19 +123,22 @@ class JetCondition:
             object.__setattr__(self, "direction", tuple(self.direction))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FatPointScheme:
     """Fat points as canonical runs (point, count), made from the runs or
-    lone points given; jets and contained subvarieties."""
+    lone points given; jets and contained subvarieties, held as tuples.  A
+    scheme is one frozen value: equal schemes compare and hash equal."""
 
     runs: tuple[tuple[FatPoint, int], ...]
-    jets: list[JetCondition] = field(default_factory=list)
-    contained: list[CoordinateSubvariety] = field(default_factory=list)
+    jets: tuple[JetCondition, ...] = ()
+    contained: tuple[CoordinateSubvariety, ...] = ()
 
     def __post_init__(self):
         """Make the runs canonical: each item given is a run (point, count)
         or a lone FatPoint, a run of one; adjacent equal points merge and
-        empty runs drop.  A negative count is a ValueError."""
+        empty runs drop.  A negative count is a ValueError.  The jets and
+        contained subvarieties may be given in any iterable, and are kept
+        as tuples."""
         runs: list[tuple[FatPoint, int]] = []
         for item in self.runs:
             pt, count = (item, 1) if isinstance(item, FatPoint) else item
@@ -139,7 +148,9 @@ class FatPointScheme:
                 runs[-1] = (pt, runs[-1][1] + count)
             elif count:
                 runs.append((pt, count))
-        self.runs = tuple(runs)
+        object.__setattr__(self, "runs", tuple(runs))
+        object.__setattr__(self, "jets", tuple(self.jets))
+        object.__setattr__(self, "contained", tuple(self.contained))
 
     def __len__(self) -> int:
         """The number of points."""

@@ -638,17 +638,20 @@ def test_on_divisor_flags_place_the_next_points_in_turn(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "spec",
-    ["0:0:5", f"0:0:{10**15}", "0:0:0", "0:0:-3", "5:0:1", "-1:0:1", "0:0"],
+    ["0:0:5", f"0:0:{10**15}", "0:0:0", "0:0:-3", "5:0:1", "-1:0:1", "0:0", "0:0:x", "x:0:1"],
 )
 def test_on_divisor_overflow_is_usage_error(capsys, spec):
     # more strata than points, also a COUNT whose strata could not even be
     # listed, a COUNT below 1, which confines no point, a FACTOR that the
-    # space does not have, or no COUNT at all
+    # space does not have, no COUNT at all, or a part that is no integer
     system = ("--space", "1x1", "--deg", "3,3", "--scheme", "2", f"--on-divisor={spec}")
     for argv in (("dim", *system), ("castelnuovo", *system, "--divisor", "0:0")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 64 and out == ""
         assert err.startswith("fatpoints: ")
+        if spec in ("0:0", "0:0:x", "x:0:1"):
+            # a malformed flag is named in its error
+            assert err == f"fatpoints: bad --on-divisor {spec!r}, expected FACTOR:INDEX:COUNT\n"
 
 
 _OVER_LIMIT = ("--space", "3x3", "--deg", "30,30")  # 29767936 columns

@@ -106,7 +106,7 @@ def test_trace_maps_strata_and_contained_subvarieties():
     # a point only on the divisor becomes a general point of it
     assert [pt.spec.stratum for pt in tscheme.points] == [None, sub(1), None]
     assert tscheme.points[2].spec.coords == ((1, 2), (3, 5))
-    assert tscheme.contained == [sub(1)]
+    assert tscheme.contained == (sub(1),)
     with pytest.raises(ValueError, match="collapses onto the divisor"):
         trace(sp, dg, FatPointScheme(points, contained=[sub(0)]), div)
 

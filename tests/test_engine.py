@@ -2,6 +2,7 @@ import mmap
 import random
 import tracemalloc
 from bisect import bisect_left
+from dataclasses import replace
 from math import comb, perm
 
 import numpy as np
@@ -575,6 +576,7 @@ def _jet_instances():
     rng = random.Random(20261017)
     for _ in range(60):
         space, degree, scheme = _random_pinned_instance(rng)
+        jets = []
         for _ in range(rng.randint(1, 3)):
             base = rng.randrange(len(scheme.points))
             order = rng.randint(1, scheme.points[base].multiplicity)
@@ -582,8 +584,9 @@ def _jet_instances():
                 rng.choice((0, rng.randint(-20, 20)))
                 for _ in range(space.ambient_dim())
             )
-            scheme.jets.append(JetCondition(base, order, direction))
-        yield space, degree, scheme
+            jets.append(JetCondition(base, order, direction))
+        # a scheme is frozen: the jets are built first and passed in
+        yield space, degree, replace(scheme, jets=jets)
     # Taylor's formula: modulo the derivatives of order < D = sum(degrees)
     # at q, the value at q + t equals the order-D jet along t, so only exact
     # jet coefficients keep the rank down

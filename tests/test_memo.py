@@ -189,6 +189,20 @@ def test_a_scheme_given_point_by_point_shares_its_runs_memo_entry(build_calls):
     assert len(engine._profiles) == len(cert.runs)
 
 
+def test_parts_given_as_lists_or_tuples_share_one_memo_entry(build_calls):
+    # the scheme is the key: its jets and contained subvarieties are tuples
+    # whatever they were given in
+    space, degree, scheme, config = _base()
+    tupled = FatPointScheme(scheme.runs, tuple(scheme.jets), tuple(scheme.contained))
+    listed = FatPointScheme(scheme.runs, list(scheme.jets), list(scheme.contained))
+    cert = dimension(space, degree, tupled, config)
+    assert len(build_calls) == len(engine._profiles) == len(cert.runs)
+    build_calls.clear()
+    assert dimension(space, degree, listed, config).to_json() == cert.to_json()
+    assert build_calls == []
+    assert len(engine._profiles) == len(cert.runs)
+
+
 def test_a_change_of_the_space_or_the_degree_builds_anew(build_calls):
     # three general double points: 18 columns and 12 conditions in each
     scheme = FatPointScheme([FatPoint(2) for _ in range(3)])
